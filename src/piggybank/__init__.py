@@ -28,6 +28,7 @@ from .numtheory import (
     mod_inv,
     multiplicative_order,
     rand_residue,
+    rsa_open,
 )
 from .protocol1 import (
     AliceSecrets1,

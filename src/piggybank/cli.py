@@ -131,10 +131,19 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _key_fields(path: str, names: tuple[str, ...]) -> list[int]:
+    """The named integer fields of a key file; ValueError names a bad one."""
+    data = _load_json(path)
+    values = [data.get(name) for name in names]
+    for name, value in zip(names, values):
+        if type(value) is not int:
+            raise ValueError(f"{path}: field {name!r} is missing or not an integer")
+    return values
+
+
 def _rsa_public(args: argparse.Namespace) -> RsaParams:
     if args.public_file:
-        data = _load_json(args.public_file)
-        return RsaParams(int(data["n"]), int(data["e"]))
+        return RsaParams(*_key_fields(args.public_file, ("n", "e")))
     if args.n is None or args.e is None:
         raise ValueError("need --n and --e, or --public-file")
     return RsaParams(args.n, args.e)
@@ -142,12 +151,10 @@ def _rsa_public(args: argparse.Namespace) -> RsaParams:
 
 def _rsa_private(args: argparse.Namespace) -> tuple[RsaParams, RsaSecret]:
     if args.secret_file:
-        data = _load_json(args.secret_file)
-        params = RsaParams(int(data["n"]), int(data["e"]))
-        secret = RsaSecret(
-            int(data["p"]), int(data["q"]), int(data["phi"]), int(data["d"])
+        n, e, p, q, phi, d = _key_fields(
+            args.secret_file, ("n", "e", "p", "q", "phi", "d")
         )
-        return params, secret
+        return RsaParams(n, e), RsaSecret(p, q, phi, d)
     if args.n is None or args.e is None or args.d is None:
         raise ValueError("need --n, --e and --d, or --secret-file")
     params = RsaParams(args.n, args.e)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -33,6 +33,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(256)
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 
 
 class Rng:
@@ -98,40 +99,25 @@ class Rng:
 
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by square-and-multiply."""
+    """base**exp mod modulus, for nonnegative operands."""
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if base < 0 or exp < 0:
         raise ValueError("operands must be nonnegative")
-    result = 1 % modulus
-    base %= modulus
-    while exp:
-        if exp & 1:
-            result = result * base % modulus
-        base = base * base % modulus
-        exp >>= 1
-    return result
+    return pow(base, exp, modulus)
 
 
 def mod_inv(a: int, m: int) -> int:
-    """Inverse of a mod m via the extended Euclidean algorithm.
-
-    Returns x with (a*x) mod m = 1 and 0 < x < m, or raises
-    NotInvertibleError carrying gcd(a, m) when no inverse exists.
-    """
+    """x with (a*x) mod m = 1 and 0 < x < m, or NotInvertibleError carrying
+    gcd(a, m) when no inverse exists."""
     if m < 2:
         raise ValueError("modulus must be at least 2")
     if a < 0:
         raise ValueError("operand must be nonnegative")
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1:
-        quot = r0 // r1
-        r0, r1 = r1, r0 - quot * r1
-        s0, s1 = s1, s0 - quot * s1
-    if r0 != 1:
-        raise NotInvertibleError(a, m, r0)
-    return s0 % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(a, m, gcd(a, m)) from None
 
 
 def _witness_rng(n: int) -> Rng:
@@ -170,7 +156,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
     witnesses = _witness_rng(n)
     for _ in range(rounds):
         a = 2 + witnesses.randbelow(n - 3)
-        x = mod_exp(a, d, n)
+        x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
         for _ in range(s - 1):
@@ -271,6 +257,20 @@ def check_rsa_consistent(params: RsaParams, secret: RsaSecret) -> None:
         raise ValueError("e*d is not 1 mod phi")
 
 
+def rsa_open(x: int, secret: RsaSecret) -> int:
+    """x**d mod pq from the factors, by the Chinese remainder theorem.
+
+    Exact for every x when d is a multiple of neither p-1 nor q-1, which
+    holds for every keypair that check_rsa_consistent accepts.
+    """
+    if x < 0:
+        raise ValueError("operand must be nonnegative")
+    p, q, d = secret.p, secret.q, secret.d
+    xp = pow(x, d % (p - 1), p)
+    xq = pow(x, d % (q - 1), q)
+    return xq + q * ((xp - xq) * pow(q, -1, p) % p)
+
+
 def _random_prime(bits: int, rng: Rng) -> int:
     # Top bit forced so a product of two such primes lands at full width.
     while True:
@@ -309,14 +309,22 @@ def gen_dh(bits: int, rng: Rng) -> DhParams:
     """Safe prime p = 2q+1 of `bits` bits plus a verified generator.
 
     Any unit's order divides 2q, so ruling out orders 1, 2 and q by two
-    exponentiations proves g generates the whole group.
+    exponentiations proves g generates the whole group. A joint sieve and a
+    base-2 Fermat test on q and 2q+1 skip only pairs that the 40-round
+    tests would reject, so they leave the output for every rng unchanged.
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
     while True:
-        q = _random_prime(bits - 1, rng)
+        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1  # as _random_prime
         p = 2 * q + 1
-        if not is_probable_prime(p, 40):
+        if q >= _EXACT_PRIME_BOUND and (
+            gcd(q * p, _SMALL_PRODUCT) != 1
+            or pow(2, q - 1, q) != 1
+            or pow(2, p - 1, p) != 1
+        ):
+            continue
+        if not (is_probable_prime(q, 40) and is_probable_prime(p, 40)):
             continue
         while True:
             g = 2 + rng.randbelow(p - 3)

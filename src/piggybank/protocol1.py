@@ -35,6 +35,7 @@ from .numtheory import (
     mod_exp,
     mod_inv,
     rand_residue,
+    rsa_open,
 )
 
 
@@ -163,28 +164,27 @@ def p1_deposit(
 
 
 def p1_recover(state: BobState1, response: Response1) -> Recovered1:
-    """Bob's side: open the deposit with the trapdoor exponent.
+    """Bob's side: open the deposit with the trapdoor exponent, by CRT.
 
     MULTIPLICATIVE recovers the secret by division and cross-checks it
     against the letter; a mismatch raises IntegrityError rather than
     returning a fabricated value.
     """
     n = state.params.n
-    d = state.secret.d
     deposit, letter = response.deposit, response.letter
     if not (0 <= deposit <= n - 1 and 0 <= letter <= n - 1):
         raise ValueError("response out of range")
     variant = state.variant
     if variant is Variant1.MULTIPLICATIVE:
         s = deposit * mod_inv(state.challenge_sent, n) % n
-        if mod_exp(letter, d, n) != s:
+        if rsa_open(letter, state.secret) != s:
             raise IntegrityError("letter does not open to the deposited secret")
         return Recovered1(s, None)
     if variant is Variant1.PLAIN_R_KEYED:
-        k = mod_exp(letter, d, n)
+        k = rsa_open(letter, state.secret)
         s = (deposit - k) * mod_inv(state.nonce, n) % n
         return Recovered1(s, k)
-    s = mod_exp(letter, d, n)
+    s = rsa_open(letter, state.secret)
     if variant is Variant1.BASE:
         k = (deposit - s * state.challenge_sent) % n
     elif variant is Variant1.UNIT_R:

@@ -157,12 +157,20 @@ class TamperRule:
     """Flip one bit of one frame passing through a tap.
 
     frame_index counts every frame the tap carries, sends and receives
-    together, starting at 0. bit 0 is the least significant bit.
+    together, starting at 0. bit 0 is the least significant bit. A rule
+    whose byte_index lies past the end of its frame raises ValueError when
+    that frame passes.
     """
 
     frame_index: int
     byte_index: int
     bit: int = 0
+
+    def __post_init__(self):
+        if self.frame_index < 0 or self.byte_index < 0:
+            raise ValueError("tamper indices must be nonnegative")
+        if not 0 <= self.bit <= 7:
+            raise ValueError("tamper bit must lie in [0, 7]")
 
 
 @dataclass(frozen=True)
@@ -219,6 +227,8 @@ class TapTransport(Transport):
         if rules:
             mutable = bytearray(frame)
             for rule in rules:
+                if rule.byte_index >= len(frame):
+                    raise ValueError(f"{rule} reaches past a {len(frame)}-byte frame")
                 mutable[rule.byte_index] ^= 1 << rule.bit
             frame = bytes(mutable)
         return frame

@@ -183,6 +183,41 @@ class TestKeygen:
         assert main(argv) == 2
 
 
+class TestKeyFiles:
+    SECRET = {"n": 51, "e": 3, "p": 3, "q": 17, "phi": 32, "d": 11}
+
+    @pytest.mark.parametrize(
+        "field, value", [("e", None), ("d", None), ("n", "51"), ("p", 3.0), ("q", True)]
+    )
+    def test_bad_secret_field_is_usage_error(self, capsys, tmp_path, field, value):
+        data = dict(self.SECRET)
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(data))
+        argv = f"exchange p1 --secret-file {path} --seed 3".split()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(field) in err
+
+    def test_missing_public_field_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k.pub"
+        path.write_text(json.dumps({"n": 51}))
+        argv = f"exchange p1 --mode connect --port 9 --public-file {path} --seed 3"
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'e'" in err
+
+    def test_complete_secret_file_opens_box(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(self.SECRET))
+        argv = f"exchange p1 --secret-file {path} --R 13 --S 5 --K 29".split()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("S=5\nK=29\n")
+
+
 class TestTrope:
     ARGS = "trope --n 51 --e 3 --d 11 --R 13 --S 5 --K 29".split()
 

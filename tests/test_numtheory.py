@@ -24,6 +24,7 @@ from piggybank import (
     mod_inv,
     multiplicative_order,
     rand_residue,
+    rsa_open,
 )
 
 
@@ -54,6 +55,72 @@ def sieve(limit: int) -> set[int]:
 # dependency): df=49 -> 85.351, df=1 -> 10.828
 CHI2_DF49 = 85.351
 CHI2_DF1 = 10.828
+
+# Exact key-generator outputs for seeds 0-4, recorded from the
+# square-and-multiply implementation before the safe-prime sieve; a change
+# to any random stream or any primality verdict shows up here.
+GOLDEN_DH = {
+    64: [
+        (0x9461eee637db07af, 0x87849382583b0da3),
+        (0xc0aba7d3212f0b73, 0x2dbfa69637b1e4a1),
+        (0x81809d319a0d67af, 0x45184337872217a),
+        (0xa0280ff85836769b, 0x1f7886956e2d0261),
+        (0xd8343a56a01dcd3f, 0x93da52f76ccd63b6),
+    ],
+    128: [
+        (0xa70fc4f75722581a811d07901a6155a7, 0x38b80f549a1e93c260637d16bde1038e),
+        (0xb8cd730d4f5641509852b26f40d8e017, 0x24b6ddea1818aa78ea9035070e063bbf),
+        (0x8bb2ce5392573a6e120e40bcf14621cb, 0x4b1cfc55bea55ce17a72979426aa905d),
+        (0x8c36b59a7cbe68400b7825f416369cf3, 0x4726a8dd016806b3f7573e5ebd009919),
+        (0xc99ce08b2a9685d9d2d4fe99f8db7287, 0x242058c5b1d652f47fd2a1e2e21a75a2),
+    ],
+}
+GOLDEN_RSA = {
+    128: [
+        (
+            0xcae12b0bd558f768c9a1500a185e2fcf,
+            0x8740c75d38e5fa44abdc542eafc9234b,
+        ),
+        (
+            0xb85ce68d81c50a3d998ca39458b5a7ad,
+            0x7ae899b3abd8b17d4366309eb2062beb,
+        ),
+        (
+            0x84b5f9c83185589ae780f045684db163,
+            0x58795130210390664586874a3a91addb,
+        ),
+        (
+            0xad32a23c15855651eee2fd8b33c7d81f,
+            0x737716d2b9038ee030c9152cf0a756db,
+        ),
+        (
+            0xad85695df2aead3d7d39520f22cb139d,
+            0x73ae463ea1c9c8d28fc3c297d8c47053,
+        ),
+    ],
+    256: [
+        (
+            0xc0eb38fa28cc350250c3ffe64143dbb77ba995e223aa9d7411b6676ed2afc4e5,
+            0x809cd0a6c5dd78ac35d7ffeed62d3d23d3eb0dc973f9b89c7aa34e3f45049deb,
+        ),
+        (
+            0x83bbcff44ceb3b34f79bc1b805a1ffe69fe173704cfb75f823db3ffca6bb83d9,
+            0x57d28aa2ddf22778a51281255916aa98c15de019431be3a6c671d0549469ea23,
+        ),
+        (
+            0xaab029c5ad055f16136cce949abac67570fc5ba11753c4b119fed13c93bd855f,
+            0x71cac683c8ae3f640cf3346311d1d9a289ccd36cb65122e7b762f3656b306d6b,
+        ),
+        (
+            0xd4b8c66c024d7a032eb05ba48c910a441b53f27b79f81b11e0d7a1c1ca1b996b,
+            0x8dd084480188fc021f203d185db606d6db11b626c5dccec101beba4897f3389b,
+        ),
+        (
+            0x80f4375bcba0e084b0c32d9a5c100167a54556cfab8306ba1ca737703bfbc0a5,
+            0x55f824e7dd15eb0320821e66e80aab997bbdaed2d173a8d9eae09f86f8dc52ab,
+        ),
+    ],
+}
 
 
 class TestModExp:
@@ -121,6 +188,23 @@ class TestModInv:
             mod_inv(3, 1)
         with pytest.raises(ValueError):
             mod_inv(-2, 9)
+
+
+class TestRsaOpen:
+    @pytest.mark.parametrize("bits", [None, 512])
+    def test_matches_full_exponentiation(self, desk_rsa, bits):
+        params, secret = desk_rsa if bits is None else gen_rsa(bits, 3, Rng(12))
+        n, p, q = params.n, secret.p, secret.q
+        rnd = random.Random(13)
+        edges = [0, 1, n - 1, p, q]
+        edges += [rnd.randrange(1, q) * p for _ in range(5)]
+        edges += [rnd.randrange(1, p) * q for _ in range(5)]
+        for x in edges + [rnd.randrange(n) for _ in range(200)]:
+            assert rsa_open(x, secret) == pow(x, secret.d, n), x
+
+    def test_rejects_negative_operand(self, desk_rsa):
+        with pytest.raises(ValueError):
+            rsa_open(-1, desk_rsa[1])
 
 
 class TestPrimality:
@@ -288,6 +372,16 @@ class TestKeyGeneration:
     def test_gen_dh_rejects_tiny(self):
         with pytest.raises(ValueError):
             gen_dh(3, Rng(1))
+
+    @pytest.mark.parametrize("bits", sorted(GOLDEN_DH))
+    def test_gen_dh_golden(self, bits):
+        got = [gen_dh(bits, Rng(seed)) for seed in range(5)]
+        assert [(k.p, k.g) for k in got] == GOLDEN_DH[bits]
+
+    @pytest.mark.parametrize("bits", sorted(GOLDEN_RSA))
+    def test_gen_rsa_golden(self, bits):
+        got = [gen_rsa(bits, 3, Rng(seed)) for seed in range(5)]
+        assert [(params.n, secret.d) for params, secret in got] == GOLDEN_RSA[bits]
 
 
 class TestRandResidue:

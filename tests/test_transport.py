@@ -181,6 +181,20 @@ class TestTap:
         tapped.send(ACK)
         assert b.recv() == ACK
 
+    @pytest.mark.parametrize(
+        "args", [(-1, 0), (0, -1), (0, 0, -1), (0, 0, 8), (0, 0, 255)]
+    )
+    def test_rule_out_of_range_rejected_at_construction(self, args):
+        with pytest.raises(ValueError):
+            TamperRule(*args)
+
+    def test_rule_past_frame_end_names_rule_and_length(self):
+        a, b = memory_pair()
+        tapped, log = tap_attach(a, tamper=(TamperRule(0, 10**6),))
+        with pytest.raises(ValueError, match=rf"byte_index=1000000.*{len(ACK)}-byte"):
+            tapped.send(ACK)
+        assert log.entries == []
+
     def test_close_passes_through(self):
         a, b = memory_pair()
         tapped, _ = tap_attach(a)
