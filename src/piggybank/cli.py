@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import PiggyBankError
 from .numtheory import DhParams, Rng, RsaParams, RsaSecret, gen_dh, gen_rsa, rand_residue
+from .numtheory import _factorize
 from .protocol1 import AliceSecrets1, Recovered1, Variant1
 from .protocol2 import AliceSecrets2, Outcome2, Variant2
 from .qkd import Scenario, compare_strategies, parse_scenario, render_csv, render_table
@@ -34,7 +35,7 @@ from .session import (
     run_trope_bob,
     run_trope_session,
 )
-from .transport import tcp_accept, tcp_connect, tcp_listen
+from .transport import Transport, tcp_accept, tcp_connect, tcp_listen
 
 
 class ExitStatus(IntEnum):
@@ -65,9 +66,10 @@ def _note(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _resolve_seed(flag_seed: int | None, *, needed: bool = True) -> int:
-    """Seed precedence: --seed, then PIGGYBANK_SEED, then entropy. Runs
-    whose sampled values are all forced never touch entropy."""
+def _resolve_seed(flag_seed: int | None, *, needed: bool = True) -> int | None:
+    """Seed precedence: --seed, then PIGGYBANK_SEED, then entropy. When no
+    seed is needed (every sampled value is forced, or the caller has its
+    own default) entropy is never touched and the result is None."""
     if flag_seed is not None:
         return flag_seed
     env = os.environ.get("PIGGYBANK_SEED")
@@ -77,22 +79,10 @@ def _resolve_seed(flag_seed: int | None, *, needed: bool = True) -> int:
         except ValueError:
             raise ValueError(f"PIGGYBANK_SEED is not an integer: {env!r}") from None
     if not needed:
-        return 0
+        return None
     seed = int.from_bytes(os.urandom(8), "big")
     _note(f"note: using entropy seed {seed} (pass --seed to reproduce)")
     return seed
-
-
-def _seed_override(flag_seed: int | None) -> int | None:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get("PIGGYBANK_SEED")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PIGGYBANK_SEED is not an integer: {env!r}") from None
 
 
 def _write_private(path: str, text: str) -> None:
@@ -106,21 +96,6 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
-
-
-def _factor_modulus(n: int) -> tuple[int, int]:
-    limit = math.isqrt(n)
-    if limit > _FACTOR_LIMIT:
-        raise ValueError(
-            "modulus too large to factor from flags; "
-            "generate a key file with keygen and pass --secret-file"
-        )
-    factor = 3
-    while factor <= limit:
-        if n % factor == 0:
-            return factor, n // factor
-        factor += 2
-    raise ValueError("modulus does not factor; need an odd composite n")
 
 
 def _load_json(path: str) -> dict:
@@ -158,7 +133,15 @@ def _rsa_private(args: argparse.Namespace) -> tuple[RsaParams, RsaSecret]:
     if args.n is None or args.e is None or args.d is None:
         raise ValueError("need --n, --e and --d, or --secret-file")
     params = RsaParams(args.n, args.e)
-    p, q = _factor_modulus(args.n)
+    if math.isqrt(args.n) > _FACTOR_LIMIT:
+        raise ValueError(
+            "modulus too large to factor from flags; "
+            "generate a key file with keygen and pass --secret-file"
+        )
+    factors = _factorize(args.n)
+    if len(factors) != 2 or factors[0] * factors[1] != args.n:
+        raise ValueError("modulus does not factor; need an odd composite n")
+    p, q = factors
     phi = (p - 1) * (q - 1)
     if args.e * args.d % phi != 1:
         raise ValueError("--d is not the inverse of --e modulo phi(n)")
@@ -183,6 +166,16 @@ def _print_outcome(outcome: SessionOutcome) -> None:
 def _require_port(args: argparse.Namespace) -> None:
     if args.mode in ("listen", "connect") and args.port is None:
         raise ValueError(f"--port is required for --mode {args.mode}")
+
+
+def _accept_one(args: argparse.Namespace) -> Transport:
+    """Listen on --host/--port, take one connection, stop listening."""
+    listener = tcp_listen(args.host, args.port)
+    _note(f"note: listening on {args.host}:{args.port}")
+    try:
+        return tcp_accept(listener)
+    finally:
+        listener.close()
 
 
 def cmd_keygen(args: argparse.Namespace) -> int:
@@ -253,20 +246,14 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     samples = (args.mode != "connect" and args.R is None) or (
         args.mode != "listen" and (args.S is None or args.K is None)
     )
-    base_rng = Rng(_resolve_seed(args.seed, needed=samples))
+    base_rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
     build = _exchange_roles_p1 if args.protocol == "p1" else _exchange_roles_p2
     bob, alice = build(args, base_rng.derive(2))
     if args.mode == "inproc":
         bob_outcome, _ = run_pair(bob, alice, base_rng.derive(1))
         _print_outcome(bob_outcome)
     elif args.mode == "listen":
-        listener = tcp_listen(args.host, args.port)
-        _note(f"note: listening on {args.host}:{args.port}")
-        try:
-            transport = tcp_accept(listener)
-        finally:
-            listener.close()
-        _print_outcome(run_exchange(bob, transport, base_rng.derive(1)))
+        _print_outcome(run_exchange(bob, _accept_one(args), base_rng.derive(1)))
     else:
         transport = tcp_connect(args.host, args.port)
         _print_outcome(run_exchange(alice, transport))
@@ -278,7 +265,7 @@ def cmd_trope(args: argparse.Namespace) -> int:
     samples = (args.mode != "connect" and args.R is None) or (
         args.mode != "listen" and args.K is None
     )
-    rng = Rng(_resolve_seed(args.seed, needed=samples))
+    rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
     if args.mode == "inproc":
         params, secret = _rsa_private(args)
         if args.S is None:
@@ -295,16 +282,10 @@ def cmd_trope(args: argparse.Namespace) -> int:
         )
     elif args.mode == "listen":
         params, secret = _rsa_private(args)
-        listener = tcp_listen(args.host, args.port)
-        _note(f"note: listening on {args.host}:{args.port}")
-        try:
-            transport = tcp_accept(listener)
-        finally:
-            listener.close()
         outcome = run_trope_bob(
             params,
             secret,
-            transport,
+            _accept_one(args),
             rng=rng,
             nonce=args.R,
             hash_alg=args.hash_id,
@@ -354,7 +335,7 @@ def cmd_qkd(args: argparse.Namespace) -> int:
     }
     if overrides:
         scenario = replace(scenario, **overrides)
-    seed = _seed_override(args.seed)
+    seed = _resolve_seed(args.seed, needed=False)
     if seed is not None:
         scenario = replace(scenario, seed=seed)
     report = compare_strategies(scenario, Rng(scenario.seed))

@@ -2,15 +2,17 @@
 
 Each exchange is four frames: Bob opens with a challenge carrying the
 variant code, Alice answers with deposit and letter frames, Bob closes
-with an ack once recovery succeeds. Either endpoint can be driven over
-any Transport, and every endpoint records its own wire transcript via an
-internal tap.
+with an ack once recovery succeeds. One box-owner driver (_bob) and one
+depositor driver (_alice) run that script for every protocol; the
+protocol maths comes in as closures. Either endpoint can be driven over
+any Transport, and records its own wire transcript via an internal tap.
 
-The trope flow layers a sealed contents manifest on top of a BASE
-protocol-1 exchange: Alice's key value doubles as a stream-cipher key
-for a fifth frame whose plaintext names the deposited goods and carries
-a digest binding them to the secret. Bob reports whether that digest
-checks out; a failed check is a verdict, not an abort.
+Trope is the BASE protocol-1 exchange plus one hook on each driver.
+Alice's seal hook sends a fifth frame: a manifest naming the deposited
+goods and a digest binding them to the secret, encrypted with her key
+value as a stream-cipher key. Bob's unseal hook reads it after recovery
+and reports whether the digest checks out; a failed check is a verdict,
+not an abort.
 """
 
 from __future__ import annotations
@@ -102,6 +104,60 @@ def _send(transport: Transport, msg: Message) -> None:
     transport.send(encode_msg(msg))
 
 
+def _bob(transport, protocol, variant, init, recover, ack, unseal=None):
+    """The box owner: challenge, take deposit and letter, recover, ack.
+
+    init() returns the protocol state holding the challenge to send, and
+    recover(state, deposit, letter) opens the box. unseal(t, recovered),
+    when given, reads one more frame and returns the manifest verdict.
+    """
+    t, log = tap_attach(transport)
+    try:
+        state = init()
+        fields = (int(variant), state.challenge_sent)
+        _send(t, Message(protocol, Kind.CHALLENGE, fields))
+        deposit = _expect(t, protocol, Kind.DEPOSIT)
+        letter = _expect(t, protocol, Kind.LETTER)
+        if len(deposit.fields) != 1 or len(letter.fields) != 1:
+            raise HandshakeError("deposit and letter each carry exactly one field")
+        recovered = recover(state, deposit.fields[0], letter.fields[0])
+        manifest_ok = None if unseal is None else unseal(t, recovered)
+        if ack:
+            _send(t, Message(protocol, Kind.ACK))
+        return SessionOutcome(recovered, manifest_ok, log)
+    finally:
+        transport.close()
+
+
+def _alice(transport, protocol, variant, deposit, ack, seal=None):
+    """The depositor: answer the challenge with deposit and letter frames.
+
+    deposit(challenge) returns the response to send. seal(t), when given,
+    sends one more frame before the ack.
+    """
+    t, log = tap_attach(transport)
+    try:
+        challenge_msg = _expect(t, protocol, Kind.CHALLENGE)
+        if len(challenge_msg.fields) != 2:
+            raise HandshakeError("challenge carries a variant code and a value")
+        variant_code, challenge = challenge_msg.fields
+        if variant_code != int(variant):
+            raise HandshakeError(
+                f"peer runs variant {variant_code}, "
+                f"this endpoint is configured for {int(variant)}"
+            )
+        response = deposit(challenge)
+        _send(t, Message(protocol, Kind.DEPOSIT, (response.deposit,)))
+        _send(t, Message(protocol, Kind.LETTER, (response.letter,)))
+        if seal is not None:
+            seal(t)
+        if ack:
+            _expect(t, protocol, Kind.ACK)
+        return SessionOutcome(None, None, log)
+    finally:
+        transport.close()
+
+
 def run_exchange(
     role: BobP1 | AliceP1 | BobP2 | AliceP2,
     transport: Transport,
@@ -110,113 +166,63 @@ def run_exchange(
     ack: bool = True,
 ) -> SessionOutcome:
     """Drive one endpoint through a full exchange, then close the transport."""
-    wrapped, log = tap_attach(transport)
-    try:
-        if isinstance(role, BobP1):
-            recovered: Recovered1 | Outcome2 | None = _bob_p1(role, wrapped, rng, ack)
-        elif isinstance(role, AliceP1):
-            _alice_p1(role, wrapped, ack)
-            recovered = None
-        elif isinstance(role, BobP2):
-            recovered = _bob_p2(role, wrapped, rng, ack)
-        elif isinstance(role, AliceP2):
-            _alice_p2(role, wrapped, ack)
-            recovered = None
-        else:
-            raise TypeError(f"not a session role: {role!r}")
-        return SessionOutcome(recovered, None, log)
-    finally:
-        transport.close()
-
-
-def _bob_p1(role: BobP1, t: Transport, rng: Rng | None, ack: bool) -> Recovered1:
-    state = p1_init(role.params, role.secret, role.variant, rng, nonce=role.nonce)
-    _send(
-        t,
-        Message(
-            Protocol.P1, Kind.CHALLENGE, (int(role.variant), state.challenge_sent)
-        ),
-    )
-    deposit = _expect(t, Protocol.P1, Kind.DEPOSIT)
-    letter = _expect(t, Protocol.P1, Kind.LETTER)
-    if len(deposit.fields) != 1 or len(letter.fields) != 1:
-        raise HandshakeError("deposit and letter each carry exactly one field")
-    recovered = p1_recover(state, Response1(deposit.fields[0], letter.fields[0]))
-    if ack:
-        _send(t, Message(Protocol.P1, Kind.ACK))
-    return recovered
-
-
-def _alice_p1(role: AliceP1, t: Transport, ack: bool) -> None:
-    challenge_msg = _expect(t, Protocol.P1, Kind.CHALLENGE)
-    if len(challenge_msg.fields) != 2:
-        raise HandshakeError("challenge carries a variant code and a value")
-    variant_code, challenge = challenge_msg.fields
-    if variant_code != int(role.variant):
-        raise HandshakeError(
-            f"peer runs variant {variant_code}, "
-            f"this endpoint is configured for {int(role.variant)}"
+    if isinstance(role, BobP1):
+        return _bob(
+            transport,
+            Protocol.P1,
+            role.variant,
+            lambda: p1_init(
+                role.params, role.secret, role.variant, rng, nonce=role.nonce
+            ),
+            lambda state, *pair: p1_recover(state, Response1(*pair)),
+            ack,
         )
-    response = p1_deposit(role.params, role.variant, challenge, role.secrets)
-    _send(t, Message(Protocol.P1, Kind.DEPOSIT, (response.deposit,)))
-    _send(t, Message(Protocol.P1, Kind.LETTER, (response.letter,)))
-    if ack:
-        _expect(t, Protocol.P1, Kind.ACK)
-
-
-def _bob_p2(role: BobP2, t: Transport, rng: Rng | None, ack: bool) -> Outcome2:
-    state = p2_init(role.params, rng, nonce=role.nonce)
-    _send(
-        t,
-        Message(
-            Protocol.P2, Kind.CHALLENGE, (int(role.variant), state.challenge_sent)
-        ),
-    )
-    deposit = _expect(t, Protocol.P2, Kind.DEPOSIT)
-    letter = _expect(t, Protocol.P2, Kind.LETTER)
-    if len(deposit.fields) != 1 or len(letter.fields) != 1:
-        raise HandshakeError("deposit and letter each carry exactly one field")
-    outcome = p2_recover(
-        state, role.variant, Response2(deposit.fields[0], letter.fields[0])
-    )
-    if ack:
-        _send(t, Message(Protocol.P2, Kind.ACK))
-    return outcome
-
-
-def _alice_p2(role: AliceP2, t: Transport, ack: bool) -> None:
-    challenge_msg = _expect(t, Protocol.P2, Kind.CHALLENGE)
-    if len(challenge_msg.fields) != 2:
-        raise HandshakeError("challenge carries a variant code and a value")
-    variant_code, challenge = challenge_msg.fields
-    if variant_code != int(role.variant):
-        raise HandshakeError(
-            f"peer runs variant {variant_code}, "
-            f"this endpoint is configured for {int(role.variant)}"
+    if isinstance(role, BobP2):
+        return _bob(
+            transport,
+            Protocol.P2,
+            role.variant,
+            lambda: p2_init(role.params, rng, nonce=role.nonce),
+            lambda state, *pair: p2_recover(state, role.variant, Response2(*pair)),
+            ack,
         )
-    response = p2_deposit(role.params, role.variant, challenge, role.secrets)
-    _send(t, Message(Protocol.P2, Kind.DEPOSIT, (response.deposit,)))
-    _send(t, Message(Protocol.P2, Kind.LETTER, (response.letter,)))
-    if ack:
-        _expect(t, Protocol.P2, Kind.ACK)
+    if isinstance(role, (AliceP1, AliceP2)):
+        p1 = isinstance(role, AliceP1)
+
+        def deposit(challenge: int) -> Response1 | Response2:
+            step = p1_deposit if p1 else p2_deposit
+            return step(role.params, role.variant, challenge, role.secrets)
+
+        protocol = Protocol.P1 if p1 else Protocol.P2
+        return _alice(transport, protocol, role.variant, deposit, ack)
+    transport.close()
+    raise TypeError(f"not a session role: {role!r}")
 
 
-def _join_pair(futures):
-    results, errors = [], []
-    for future in futures:
-        try:
-            results.append(future.result(timeout=_JOIN_TIMEOUT))
-        except Exception as exc:  # re-raised below, most meaningful first
-            errors.append(exc)
-            results.append(None)
+def _run_both(bob_fn, alice_fn, transports=None):
+    """Run bob_fn(bob_end) and alice_fn(alice_end) on two threads.
+
+    transports defaults to a fresh memory pair. When one endpoint fails
+    and the other then dies of the dropped connection, the meaningful
+    error is the one re-raised.
+    """
+    bob_end, alice_end = transports or memory_pair()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(bob_fn, bob_end), pool.submit(alice_fn, alice_end)]
+        results, errors = [], []
+        for future in futures:
+            try:
+                results.append(future.result(timeout=_JOIN_TIMEOUT))
+            except Exception as exc:  # re-raised below, most meaningful first
+                errors.append(exc)
+    for exc in errors:
+        if isinstance(exc, PiggyBankError) and not isinstance(
+            exc, TransportClosedError
+        ):
+            raise exc
     if errors:
-        for exc in errors:
-            if isinstance(exc, PiggyBankError) and not isinstance(
-                exc, TransportClosedError
-            ):
-                raise exc
         raise errors[0]
-    return results
+    return tuple(results)
 
 
 def run_pair(
@@ -226,60 +232,32 @@ def run_pair(
     *,
     ack: bool = True,
 ) -> tuple[SessionOutcome, SessionOutcome]:
-    """Run both endpoints over an in-memory pair; rng feeds Bob's nonce.
-
-    When one endpoint fails and the other then dies of the dropped
-    connection, the meaningful error is the one re-raised.
-    """
-    bob_end, alice_end = memory_pair()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        bob_future = pool.submit(run_exchange, bob, bob_end, rng, ack=ack)
-        alice_future = pool.submit(run_exchange, alice, alice_end, ack=ack)
-        bob_outcome, alice_outcome = _join_pair([bob_future, alice_future])
-    return bob_outcome, alice_outcome
+    """Run both endpoints over an in-memory pair; rng feeds Bob's nonce."""
+    return _run_both(
+        lambda end: run_exchange(bob, end, rng, ack=ack),
+        lambda end: run_exchange(alice, end, ack=ack),
+    )
 
 
 # --- trope: sealed contents manifest on top of a BASE exchange ---
 
 
-def _keystream(key: int, length: int, hash_alg: str) -> bytes:
-    """Counter-mode stream: hash(key bytes || 8-byte counter), concatenated."""
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        digest = hashlib.new(hash_alg)
-        digest.update(natural_bytes(key))
-        digest.update(counter.to_bytes(8, "big"))
-        out += digest.digest()
-        counter += 1
-    return bytes(out[:length])
-
-
-def _xor(data: bytes, mask: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, mask))
+def _stream_xor(key: int, data: bytes, hash_alg: str) -> bytes:
+    """XOR data with the counter-mode stream hash(key bytes || 8-byte
+    counter), blocks concatenated; the same call seals and unseals."""
+    blocks = -(-len(data) // hashlib.new(hash_alg).digest_size)
+    stream = b"".join(
+        hashlib.new(hash_alg, natural_bytes(key) + i.to_bytes(8, "big")).digest()
+        for i in range(blocks)
+    )
+    return bytes(a ^ b for a, b in zip(data, stream))
 
 
 def _manifest_digest(secret: int, description: bytes, hash_alg: str) -> bytes:
     # Binds the deposited secret AND the stated contents: a manifest must
     # not survive edits to either half. With an empty description this is
     # exactly the hash of the secret's canonical encoding.
-    digest = hashlib.new(hash_alg)
-    digest.update(natural_bytes(secret))
-    digest.update(description)
-    return digest.digest()
-
-
-def _pack_manifest(description: bytes, digest: bytes) -> bytes:
-    return len(description).to_bytes(4, "big") + description + digest
-
-
-def _parse_manifest(plain: bytes, digest_len: int) -> tuple[bytes, bytes] | None:
-    if len(plain) < 4:
-        return None
-    desc_len = int.from_bytes(plain[:4], "big")
-    if 4 + desc_len + digest_len != len(plain):
-        return None
-    return plain[4 : 4 + desc_len], plain[4 + desc_len :]
+    return hashlib.new(hash_alg, natural_bytes(secret) + description).digest()
 
 
 def run_trope_alice(
@@ -294,32 +272,24 @@ def run_trope_alice(
     ack: bool = True,
 ) -> SessionOutcome:
     """Deposit a secret plus a sealed manifest naming what was deposited."""
-    wrapped, log = tap_attach(transport)
-    try:
-        challenge_msg = _expect(wrapped, Protocol.TROPE, Kind.CHALLENGE)
-        if len(challenge_msg.fields) != 2:
-            raise HandshakeError("challenge carries a variant code and a value")
-        variant_code, challenge = challenge_msg.fields
-        if variant_code != int(Variant1.BASE):
-            raise HandshakeError("trope sessions run the BASE variant only")
+
+    def deposit(challenge: int) -> Response1:
+        nonlocal letter_key
         if letter_key is None:
             if rng is None:
                 raise ValueError("sampling a letter key requires an rng")
             letter_key = rng.randbelow(params.n)
         secrets = AliceSecrets1(deposit_secret, letter_key)
-        response = p1_deposit(params, Variant1.BASE, challenge, secrets)
-        _send(wrapped, Message(Protocol.TROPE, Kind.DEPOSIT, (response.deposit,)))
-        _send(wrapped, Message(Protocol.TROPE, Kind.LETTER, (response.letter,)))
+        return p1_deposit(params, Variant1.BASE, challenge, secrets)
+
+    def seal(t: Transport) -> None:
         description = manifest_text.encode("utf-8")
         digest = _manifest_digest(deposit_secret, description, hash_alg)
-        plain = _pack_manifest(description, digest)
-        sealed = _xor(plain, _keystream(letter_key, len(plain), hash_alg))
-        _send(wrapped, Message(Protocol.TROPE, Kind.LETTER, (), sealed))
-        if ack:
-            _expect(wrapped, Protocol.TROPE, Kind.ACK)
-        return SessionOutcome(None, None, log)
-    finally:
-        transport.close()
+        plain = len(description).to_bytes(4, "big") + description + digest
+        sealed = _stream_xor(letter_key, plain, hash_alg)
+        _send(t, Message(Protocol.TROPE, Kind.LETTER, (), sealed))
+
+    return _alice(transport, Protocol.TROPE, Variant1.BASE, deposit, ack, seal)
 
 
 def run_trope_bob(
@@ -333,39 +303,30 @@ def run_trope_bob(
     ack: bool = True,
 ) -> SessionOutcome:
     """Open the box: recover S and K, unseal the manifest, check its digest."""
-    wrapped, log = tap_attach(transport)
-    try:
-        state = p1_init(params, secret, Variant1.BASE, rng, nonce=nonce)
-        _send(
-            wrapped,
-            Message(
-                Protocol.TROPE,
-                Kind.CHALLENGE,
-                (int(Variant1.BASE), state.challenge_sent),
-            ),
-        )
-        deposit = _expect(wrapped, Protocol.TROPE, Kind.DEPOSIT)
-        letter = _expect(wrapped, Protocol.TROPE, Kind.LETTER)
-        if len(deposit.fields) != 1 or len(letter.fields) != 1:
-            raise HandshakeError("deposit and letter each carry exactly one field")
-        recovered = p1_recover(state, Response1(deposit.fields[0], letter.fields[0]))
-        sealed_msg = _expect(wrapped, Protocol.TROPE, Kind.LETTER)
+
+    def unseal(t: Transport, recovered: Recovered1) -> bool:
+        sealed_msg = _expect(t, Protocol.TROPE, Kind.LETTER)
         if sealed_msg.fields:
             raise HandshakeError("the sealed manifest carries only a blob")
-        plain = _xor(
-            sealed_msg.blob,
-            _keystream(recovered.key, len(sealed_msg.blob), hash_alg),
+        plain = _stream_xor(recovered.key, sealed_msg.blob, hash_alg)
+        # plaintext: 4-byte description length, description, digest; a
+        # length prefix that misstates the rest leaves a digest of the
+        # wrong size, which fails the check
+        desc_len = int.from_bytes(plain[:4], "big")
+        description, digest = plain[4 : 4 + desc_len], plain[4 + desc_len :]
+        return len(digest) == hashlib.new(hash_alg).digest_size and (
+            _manifest_digest(recovered.secret, description, hash_alg) == digest
         )
-        digest_len = hashlib.new(hash_alg).digest_size
-        parsed = _parse_manifest(plain, digest_len)
-        manifest_ok = parsed is not None and (
-            _manifest_digest(recovered.secret, parsed[0], hash_alg) == parsed[1]
-        )
-        if ack:
-            _send(wrapped, Message(Protocol.TROPE, Kind.ACK))
-        return SessionOutcome(recovered, manifest_ok, log)
-    finally:
-        transport.close()
+
+    return _bob(
+        transport,
+        Protocol.TROPE,
+        Variant1.BASE,
+        lambda: p1_init(params, secret, Variant1.BASE, rng, nonce=nonce),
+        lambda state, *pair: p1_recover(state, Response1(*pair)),
+        ack,
+        unseal,
+    )
 
 
 def run_trope_session(
@@ -387,30 +348,21 @@ def run_trope_session(
     e.g. pre-wrapped in a tampering tap; default is a fresh memory pair.
     The rng is split deterministically between the two threads.
     """
-    if transports is None:
-        transports = memory_pair()
-    bob_end, alice_end = transports
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        bob_future = pool.submit(
-            run_trope_bob,
-            params,
-            secret,
-            bob_end,
-            rng=rng.derive(1),
-            nonce=nonce,
-            hash_alg=hash_alg,
-            ack=ack,
-        )
-        alice_future = pool.submit(
-            run_trope_alice,
+    bob_rng, alice_rng = rng.derive(1), rng.derive(2)
+    bob_outcome, _ = _run_both(
+        lambda end: run_trope_bob(
+            params, secret, end, rng=bob_rng, nonce=nonce, hash_alg=hash_alg, ack=ack
+        ),
+        lambda end: run_trope_alice(
             params,
             deposit_secret,
             manifest_text,
-            alice_end,
-            rng=rng.derive(2),
+            end,
+            rng=alice_rng,
             letter_key=letter_key,
             hash_alg=hash_alg,
             ack=ack,
-        )
-        bob_outcome, _ = _join_pair([bob_future, alice_future])
+        ),
+        transports,
+    )
     return bob_outcome

@@ -177,7 +177,14 @@ class TamperRule:
 class TapEntry:
     direction: str  # "tx" or "rx", from the wrapped endpoint's view
     frame: bytes
-    message: Message | None  # None when the frame does not decode
+
+    @property
+    def message(self) -> Message | None:
+        """The frame decoded on access; None when it does not decode."""
+        try:
+            return decode_msg(self.frame)
+        except WireError:
+            return None
 
 
 @dataclass
@@ -185,11 +192,7 @@ class TapLog:
     entries: list[TapEntry] = field(default_factory=list)
 
     def record(self, direction: str, frame: bytes) -> None:
-        try:
-            message: Message | None = decode_msg(frame)
-        except WireError:
-            message = None
-        self.entries.append(TapEntry(direction, frame, message))
+        self.entries.append(TapEntry(direction, frame))
 
     def frames(self) -> list[bytes]:
         return [entry.frame for entry in self.entries]

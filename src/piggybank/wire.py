@@ -31,6 +31,8 @@ VERSION = 1
 
 _MAX_FIELDS = (1 << 16) - 1
 _MAX_BLOB = (1 << 32) - 1
+# read_frame refuses a stream frame longer than this, before reading it
+_MAX_FRAME = 1 << 20
 
 
 class Protocol(IntEnum):
@@ -166,18 +168,23 @@ def read_frame(read: Callable[[int], bytes]) -> bytes:
 
     read(n) must return exactly n bytes or raise; this walks the header,
     per-field lengths and the blob length so a stream transport can pull
-    self-delimiting frames without buffering the whole connection.
-    Structural validation beyond the magic is left to decode_msg.
+    self-delimiting frames without buffering the whole connection. A
+    frame whose declared lengths would take it past _MAX_FRAME bytes is
+    a FormatError, raised before the oversize read is made. Structural
+    validation beyond the magic is left to decode_msg.
     """
-    buf = bytearray(read(9))
-    if buf[:4] != MAGIC:
+    buf = bytearray()
+
+    def take(count: int) -> bytes:
+        if len(buf) + count > _MAX_FRAME:
+            raise FormatError(f"frame longer than {_MAX_FRAME} bytes")
+        chunk = read(count)
+        buf.extend(chunk)
+        return chunk
+
+    if take(9)[:4] != MAGIC:
         raise FormatError("bad magic")
     nfields = int.from_bytes(buf[7:9], "big")
-    for _ in range(nfields):
-        length_bytes = read(4)
-        buf += length_bytes
-        buf += read(int.from_bytes(length_bytes, "big"))
-    length_bytes = read(4)
-    buf += length_bytes
-    buf += read(int.from_bytes(length_bytes, "big"))
+    for _ in range(nfields + 1):  # each field, then the blob: length, bytes
+        take(int.from_bytes(take(4), "big"))
     return bytes(buf)

@@ -26,13 +26,17 @@ from piggybank import (
     Recovered1,
     Rng,
     TamperRule,
+    TransportClosedError,
     Variant1,
     Variant2,
     decode_msg,
     encode_msg,
     memory_pair,
+    p1_deposit,
     run_exchange,
     run_pair,
+    run_trope_alice,
+    run_trope_bob,
     run_trope_session,
     tap_attach,
     tcp_accept,
@@ -318,3 +322,52 @@ class TestTrope:
         )
         assert outcome.manifest_ok is True
         assert outcome.recovered.secret == 5
+
+
+class TestTropeHandshake:
+    """The box owner and the depositor reject a peer off the trope script."""
+
+    def test_alice_rejects_non_base_challenge(self, desk_rsa):
+        params, _ = desk_rsa
+        bob_end, alice_end = memory_pair()
+        bob_end.send(encode_msg(Message(Protocol.TROPE, Kind.CHALLENGE, (1, 4))))
+        with pytest.raises(HandshakeError):
+            run_trope_alice(params, 5, "iron nails", alice_end, letter_key=29)
+        bob_end.close()
+
+    def test_bob_rejects_sealed_frame_with_fields(self, desk_rsa):
+        params, secret = desk_rsa
+        bob_end, alice_end = memory_pair()
+
+        def peer():
+            challenge = decode_msg(alice_end.recv()).fields[1]
+            response = p1_deposit(
+                params, Variant1.BASE, challenge, AliceSecrets1(5, 29)
+            )
+            for msg in (
+                Message(Protocol.TROPE, Kind.DEPOSIT, (response.deposit,)),
+                Message(Protocol.TROPE, Kind.LETTER, (response.letter,)),
+                Message(Protocol.TROPE, Kind.LETTER, (1,), b"sealed"),
+            ):
+                alice_end.send(encode_msg(msg))
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(HandshakeError, match="only a blob"):
+                run_trope_bob(params, secret, bob_end, nonce=13)
+        finally:
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    def test_p1_alice_against_trope_bob(self, desk_rsa):
+        params, secret = desk_rsa
+        bob_end, alice_end = memory_pair()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            bob_future = pool.submit(run_trope_bob, params, secret, bob_end, nonce=13)
+            with pytest.raises(HandshakeError, match="TROPE"):
+                run_exchange(
+                    AliceP1(params, Variant1.BASE, AliceSecrets1(5, 29)), alice_end
+                )
+            with pytest.raises(TransportClosedError):
+                bob_future.result(timeout=30)

@@ -111,6 +111,16 @@ class TestTcp:
         client.close()
         thread.join(timeout=5)
 
+    def test_oversize_field_is_format_error(self):
+        # a peer declaring a 4 GiB - 1 field is refused, not buffered
+        header = CHALLENGE[:9]
+        port, thread = _serve_bytes(header + b"\xff\xff\xff\xff")
+        client = tcp_connect("127.0.0.1", port)
+        with pytest.raises(FormatError):
+            client.recv()
+        client.close()
+        thread.join(timeout=5)
+
     def test_garbage_stream_is_format_error(self):
         port, thread = _serve_bytes(b"HTTP/1.1 400 Bad Request\r\n")
         client = tcp_connect("127.0.0.1", port)

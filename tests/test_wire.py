@@ -230,3 +230,35 @@ class TestReadFrame:
     def test_bad_magic_detected_early(self):
         with pytest.raises(FormatError):
             read_frame(lambda n: b"\x00" * n)
+
+    def test_oversize_length_refused_before_reading(self):
+        # one field declaring 4 GiB - 1 bytes: the reader must refuse the
+        # frame without ever being asked for that many bytes
+        asked = []
+        with pytest.raises(FormatError):
+            read_frame(_reader(GOLDEN[:9] + b"\xff\xff\xff\xff", asked))
+        assert asked == [9, 4]
+
+    def test_frame_at_the_cap_is_read(self):
+        blob = b"x" * ((1 << 20) - 13)
+        frame = encode_msg(Message(Protocol.TROPE, Kind.LETTER, (), blob))
+        assert len(frame) == 1 << 20
+        assert read_frame(_reader(frame)) == frame
+        longer = encode_msg(Message(Protocol.TROPE, Kind.LETTER, (), blob + b"x"))
+        with pytest.raises(FormatError):
+            read_frame(_reader(longer))
+
+
+def _reader(stream: bytes, asked: list | None = None):
+    """A read(n) over a byte string, noting each requested count."""
+    pos = 0
+
+    def read(count):
+        nonlocal pos
+        if asked is not None:
+            asked.append(count)
+        chunk = stream[pos : pos + count]
+        pos += count
+        return chunk
+
+    return read
