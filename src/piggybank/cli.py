@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .numtheory import _factorize
 from .protocol1 import AliceSecrets1, Recovered1, Variant1
 from .protocol2 import AliceSecrets2, Outcome2, Variant2
 from .qkd import Scenario, compare_strategies, parse_scenario, render_csv, render_table
+from .qkd import _SCENARIO_KEYS
 from .session import (
     AliceP1,
     AliceP2,
@@ -45,16 +46,10 @@ class ExitStatus(IntEnum):
     IO = 3
 
 
-_VARIANTS1 = {
-    "base": Variant1.BASE,
-    "unit-r": Variant1.UNIT_R,
-    "multiplicative": Variant1.MULTIPLICATIVE,
-    "plain-r": Variant1.PLAIN_R,
-    "plain-r-keyed": Variant1.PLAIN_R_KEYED,
-}
-_VARIANTS2 = {
-    "additive": Variant2.ADDITIVE,
-    "multiplicative": Variant2.MULTIPLICATIVE,
+# --variant names per protocol; the first member of each enum is the default.
+_VARIANTS = {
+    protocol: {member.name.lower().replace("_", "-"): member for member in enum}
+    for protocol, enum in (("p1", Variant1), ("p2", Variant2))
 }
 
 # Flag-supplied moduli are factored by trial division; beyond this bound
@@ -106,19 +101,30 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _key_fields(path: str, names: tuple[str, ...]) -> list[int]:
-    """The named integer fields of a key file; ValueError names a bad one."""
+def _key_fields(path: str, *records: type) -> tuple:
+    """One instance of each key record, built from the integer fields of a
+    key file; ValueError names a missing or bad field."""
     data = _load_json(path)
-    values = [data.get(name) for name in names]
-    for name, value in zip(names, values):
-        if type(value) is not int:
+    for name in [field.name for record in records for field in fields(record)]:
+        if type(data.get(name)) is not int:
             raise ValueError(f"{path}: field {name!r} is missing or not an integer")
-    return values
+    return tuple(
+        record(**{field.name: data[field.name] for field in fields(record)})
+        for record in records
+    )
+
+
+def _port(text: str) -> int:
+    """--port: an integer in [0, 65535]."""
+    port = int(text)
+    if not 0 <= port <= 0xFFFF:
+        raise argparse.ArgumentTypeError(f"port {port} is not in [0, 65535]")
+    return port
 
 
 def _rsa_public(args: argparse.Namespace) -> RsaParams:
     if args.public_file:
-        return RsaParams(*_key_fields(args.public_file, ("n", "e")))
+        return _key_fields(args.public_file, RsaParams)[0]
     if args.n is None or args.e is None:
         raise ValueError("need --n and --e, or --public-file")
     return RsaParams(args.n, args.e)
@@ -126,10 +132,7 @@ def _rsa_public(args: argparse.Namespace) -> RsaParams:
 
 def _rsa_private(args: argparse.Namespace) -> tuple[RsaParams, RsaSecret]:
     if args.secret_file:
-        n, e, p, q, phi, d = _key_fields(
-            args.secret_file, ("n", "e", "p", "q", "phi", "d")
-        )
-        return RsaParams(n, e), RsaSecret(p, q, phi, d)
+        return _key_fields(args.secret_file, RsaParams, RsaSecret)
     if args.n is None or args.e is None or args.d is None:
         raise ValueError("need --n, --e and --d, or --secret-file")
     params = RsaParams(args.n, args.e)
@@ -182,31 +185,18 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     rng = Rng(_resolve_seed(args.seed))
     if args.kind == "rsa":
         params, secret = gen_rsa(args.bits, args.e, rng)
-        public = {"kind": "rsa", "bits": args.bits, "n": params.n, "e": params.e}
-        _emit(args.out, json.dumps(public, indent=2) + "\n")
-        if args.private_out:
-            private = {
-                "kind": "rsa",
-                "n": params.n,
-                "e": params.e,
-                "p": secret.p,
-                "q": secret.q,
-                "phi": secret.phi,
-                "d": secret.d,
-            }
-            _write_private(args.private_out, json.dumps(private, indent=2) + "\n")
-            _note(f"note: private key written to {args.private_out}")
     else:
-        params = gen_dh(args.bits, rng)
-        public = {"kind": "dh", "bits": args.bits, "p": params.p, "g": params.g}
-        _emit(args.out, json.dumps(public, indent=2) + "\n")
+        params, secret = gen_dh(args.bits, rng), None
+    public = {"kind": args.kind, "bits": args.bits, **asdict(params)}
+    _emit(args.out, json.dumps(public, indent=2) + "\n")
+    if args.private_out and secret is not None:
+        private = {"kind": args.kind, **asdict(params), **asdict(secret)}
+        _write_private(args.private_out, json.dumps(private, indent=2) + "\n")
+        _note(f"note: private key written to {args.private_out}")
     return int(ExitStatus.OK)
 
 
-def _exchange_roles_p1(args: argparse.Namespace, rng: Rng):
-    variant = _VARIANTS1.get(args.variant or "base")
-    if variant is None:
-        raise ValueError(f"unknown p1 variant {args.variant!r}")
+def _exchange_roles_p1(args: argparse.Namespace, variant: Variant1, rng: Rng):
     bob = alice = None
     if args.mode in ("inproc", "listen"):
         params, secret = _rsa_private(args)
@@ -219,10 +209,7 @@ def _exchange_roles_p1(args: argparse.Namespace, rng: Rng):
     return bob, alice
 
 
-def _exchange_roles_p2(args: argparse.Namespace, rng: Rng):
-    variant = _VARIANTS2.get(args.variant or "additive")
-    if variant is None:
-        raise ValueError(f"unknown p2 variant {args.variant!r}")
+def _exchange_roles_p2(args: argparse.Namespace, variant: Variant2, rng: Rng):
     if args.p is None or args.g is None:
         raise ValueError("need --p and --g for p2")
     params = DhParams(args.p, args.g)
@@ -247,8 +234,12 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         args.mode != "listen" and (args.S is None or args.K is None)
     )
     base_rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
+    variants = _VARIANTS[args.protocol]
+    variant = variants.get(args.variant or next(iter(variants)))
+    if variant is None:
+        raise ValueError(f"unknown {args.protocol} variant {args.variant!r}")
     build = _exchange_roles_p1 if args.protocol == "p1" else _exchange_roles_p2
-    bob, alice = build(args, base_rng.derive(2))
+    bob, alice = build(args, variant, base_rng.derive(2))
     if args.mode == "inproc":
         bob_outcome, _ = run_pair(bob, alice, base_rng.derive(1))
         _print_outcome(bob_outcome)
@@ -310,34 +301,15 @@ def cmd_trope(args: argparse.Namespace) -> int:
     return int(ExitStatus.OK)
 
 
-_QKD_OVERRIDES = (
-    "pulses",
-    "p_noise",
-    "eve_fraction",
-    "passes",
-    "sample_frac",
-    "trials",
-    "hash_id",
-    "truncate_bits",
-    "max_rounds",
-)
-
-
 def cmd_qkd(args: argparse.Namespace) -> int:
     if args.scenario:
         scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     else:
         scenario = Scenario()
-    overrides = {
-        name: getattr(args, name)
-        for name in _QKD_OVERRIDES
-        if getattr(args, name) is not None
-    }
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    seed = _resolve_seed(args.seed, needed=False)
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
+    flags = {field.name: getattr(args, field.name) for field in _SCENARIO_KEYS.values()}
+    flags["seed"] = _resolve_seed(args.seed, needed=False)
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    scenario = replace(scenario, **overrides)
     report = compare_strategies(scenario, Rng(scenario.seed))
     _emit(args.table_out, render_table(report))
     csv_path = args.csv_out or "qkd_report.csv"
@@ -370,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode", choices=("inproc", "listen", "connect"), default="inproc"
         )
         p.add_argument("--host", default="127.0.0.1")
-        p.add_argument("--port", type=int)
+        p.add_argument("--port", type=_port)
         p.add_argument("--seed", type=int)
 
     def add_rsa_flags(p: argparse.ArgumentParser) -> None:
@@ -382,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     exchange = sub.add_parser("exchange", help="run one two-party exchange")
     exchange.add_argument("protocol", choices=("p1", "p2"))
-    exchange.add_argument("--variant", help="p1: base/unit-r/multiplicative/plain-r/plain-r-keyed; p2: additive/multiplicative")
+    exchange.add_argument(
+        "--variant",
+        help="; ".join(f"{p}: {'/'.join(names)}" for p, names in _VARIANTS.items()),
+    )
     add_rsa_flags(exchange)
     exchange.add_argument("--p", type=int, help="prime modulus (p2)")
     exchange.add_argument("--g", type=int, help="generator (p2)")
@@ -404,16 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     qkd = sub.add_parser("qkd", help="compare cascade against digest-retry")
     qkd.add_argument("--scenario", help="key=value scenario file")
-    qkd.add_argument("--pulses", type=int)
-    qkd.add_argument("--p-noise", dest="p_noise", type=float)
-    qkd.add_argument("--eve-fraction", dest="eve_fraction", type=float)
-    qkd.add_argument("--passes", type=int)
-    qkd.add_argument("--sample-frac", dest="sample_frac", type=float)
-    qkd.add_argument("--trials", type=int)
-    qkd.add_argument("--hash", dest="hash_id")
-    qkd.add_argument("--truncate-bits", dest="truncate_bits", type=int)
-    qkd.add_argument("--max-rounds", dest="max_rounds", type=int)
-    qkd.add_argument("--seed", type=int)
+    for key, field in _SCENARIO_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        qkd.add_argument(flag, dest=field.name, type=type(field.default))
     qkd.add_argument("--table-out", help="table file (default stdout)")
     qkd.add_argument("--csv-out", help="per-trial CSV (default qkd_report.csv)")
     qkd.set_defaults(handler=cmd_qkd)

@@ -20,7 +20,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -200,6 +200,13 @@ class DigestRun:
     pulses: int
 
 
+def _sifted_round(n_pulses: int, model: ChannelModel, rng: Rng) -> SiftedPair:
+    """One round: send, transmit, sift. The three steps are module globals,
+    looked up per call, so wrappers installed on this module see them."""
+    train, bob_bases = generate_round(n_pulses, rng)
+    return sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
+
+
 def run_digest_protocol(
     n_pulses: int,
     model: ChannelModel,
@@ -216,9 +223,7 @@ def run_digest_protocol(
         raise ValueError("max_rounds must be positive")
     pulses = 0
     for round_no in range(1, max_rounds + 1):
-        train, bob_bases = generate_round(n_pulses, rng)
-        bob_bits = channel_transmit(train, bob_bases, model, rng)
-        pair = sift(train, bob_bases, bob_bits)
+        pair = _sifted_round(n_pulses, model, rng)
         pulses += n_pulses
         if digest_verify(pair.alice_key, pair.bob_key, config):
             return DigestRun(pair.alice_key, pair.bob_key, round_no, pulses)
@@ -226,20 +231,6 @@ def run_digest_protocol(
 
 
 # --- scenario files and the strategy comparison ---
-
-_SCENARIO_FIELDS: dict[str, tuple[str, type]] = {
-    "pulses": ("pulses", int),
-    "p_noise": ("p_noise", float),
-    "eve_fraction": ("eve_fraction", float),
-    "passes": ("passes", int),
-    "sample_frac": ("sample_frac", float),
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-    "hash": ("hash_id", str),
-    "truncate_bits": ("truncate_bits", int),
-    "max_rounds": ("max_rounds", int),
-}
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -268,6 +259,13 @@ class Scenario:
             raise ValueError("max_rounds must be positive")
 
 
+# Scenario-file key -> Scenario field, typed by its default; each is a qkd flag.
+_SCENARIO_KEYS = {
+    "hash" if field.name == "hash_id" else field.name: field
+    for field in fields(Scenario)
+}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a flat key=value scenario; '#' starts a comment.
 
@@ -283,13 +281,13 @@ def parse_scenario(text: str) -> Scenario:
         if not sep:
             raise ValueError(f"line {line_no}: expected key=value, got {raw!r}")
         key, value = key.strip(), value.strip()
-        if key not in _SCENARIO_FIELDS:
+        if key not in _SCENARIO_KEYS:
             raise ValueError(f"line {line_no}: unknown key {key!r}")
-        attr, cast = _SCENARIO_FIELDS[key]
-        if attr in values:
+        field = _SCENARIO_KEYS[key]
+        if field.name in values:
             raise ValueError(f"line {line_no}: duplicate key {key!r}")
         try:
-            values[attr] = cast(value)
+            values[field.name] = type(field.default)(value)
         except ValueError as exc:
             raise ValueError(f"line {line_no}: bad value for {key!r}: {exc}") from exc
     return Scenario(**values)
@@ -328,20 +326,17 @@ class StrategyReport:
 def _cascade_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
     model = ChannelModel(scenario.p_noise, scenario.eve_fraction)
     rounds = 0
-    pulses = 0
     while True:
-        train, bob_bases = generate_round(scenario.pulses, rng)
-        bob_bits = channel_transmit(train, bob_bases, model, rng)
-        pair = sift(train, bob_bases, bob_bits)
+        pair = _sifted_round(scenario.pulses, model, rng)
         rounds += 1
-        pulses += scenario.pulses
         # The sample is sacrificed, so the round must leave a remainder.
         if len(pair) >= 2 and math.ceil(scenario.sample_frac * len(pair)) < len(pair):
             break
     estimate, remainder = estimate_qber(pair, scenario.sample_frac, rng)
+    # Any hint from 0.487 up gives block size 1; CascadeConfig refuses 1.0.
     config = CascadeConfig(
         passes=scenario.passes,
-        qber_hint=estimate,
+        qber_hint=min(estimate, 0.5),
         shuffle_seed=rng.getrandbits(64),
     )
     result = cascade_reconcile(remainder, config)
@@ -353,7 +348,7 @@ def _cascade_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
         trial=trial,
         rounds=rounds,
         disclosed_bits=result.parities_disclosed,
-        pulses=pulses,
+        pulses=rounds * scenario.pulses,
         accepted_bits=len(remainder),
         residual_errors=residual,
         success=result.success,
@@ -368,26 +363,21 @@ def _digest_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
             scenario.pulses, model, config, scenario.max_rounds, rng
         )
     except NoKeyError as exc:
-        return TrialRecord(
-            strategy="digest",
-            trial=trial,
-            rounds=exc.rounds,
-            disclosed_bits=exc.rounds * scenario.truncate_bits,
-            pulses=exc.pulses,
-            accepted_bits=0,
-            residual_errors=0,
-            success=False,
-        )
-    residual = int(np.count_nonzero(run.bob_key != run.alice_key))
+        rounds, pulses, accepted, residual = exc.rounds, exc.pulses, 0, 0
+        success = False
+    else:
+        rounds, pulses, accepted = run.rounds, run.pulses, len(run.alice_key)
+        residual = int(np.count_nonzero(run.bob_key != run.alice_key))
+        success = residual == 0
     return TrialRecord(
         strategy="digest",
         trial=trial,
-        rounds=run.rounds,
-        disclosed_bits=run.rounds * scenario.truncate_bits,
-        pulses=run.pulses,
-        accepted_bits=len(run.alice_key),
+        rounds=rounds,
+        disclosed_bits=rounds * scenario.truncate_bits,
+        pulses=pulses,
+        accepted_bits=accepted,
         residual_errors=residual,
-        success=residual == 0,
+        success=success,
     )
 
 
@@ -456,31 +446,11 @@ def render_csv(report: StrategyReport) -> str:
     same scenario and seed give byte-identical output."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        [
-            "strategy",
-            "trial",
-            "rounds",
-            "disclosed_bits",
-            "pulses",
-            "accepted_bits",
-            "residual_errors",
-            "success",
-        ]
-    )
+    writer.writerow(field.name for field in fields(TrialRecord))
     for record in sorted(report.records, key=lambda r: (r.strategy, r.trial)):
-        writer.writerow(
-            [
-                record.strategy,
-                record.trial,
-                record.rounds,
-                record.disclosed_bits,
-                record.pulses,
-                record.accepted_bits,
-                record.residual_errors,
-                str(record.success).lower(),
-            ]
-        )
+        row = asdict(record)
+        row["success"] = str(record.success).lower()
+        writer.writerow(row.values())
     for name, stats in (("cascade", report.cascade), ("digest", report.digest)):
         writer.writerow(
             [

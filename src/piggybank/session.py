@@ -204,7 +204,8 @@ def _run_both(bob_fn, alice_fn, transports=None):
 
     transports defaults to a fresh memory pair. When one endpoint fails
     and the other then dies of the dropped connection, the meaningful
-    error is the one re-raised.
+    error is the one re-raised: a TransportClosedError only when nothing
+    else failed, and a PiggyBankError before any other error.
     """
     bob_end, alice_end = transports or memory_pair()
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -215,11 +216,12 @@ def _run_both(bob_fn, alice_fn, transports=None):
                 results.append(future.result(timeout=_JOIN_TIMEOUT))
             except Exception as exc:  # re-raised below, most meaningful first
                 errors.append(exc)
-    for exc in errors:
-        if isinstance(exc, PiggyBankError) and not isinstance(
-            exc, TransportClosedError
-        ):
-            raise exc
+    errors.sort(
+        key=lambda exc: (
+            isinstance(exc, TransportClosedError),
+            not isinstance(exc, PiggyBankError),
+        )
+    )
     if errors:
         raise errors[0]
     return tuple(results)
@@ -260,6 +262,21 @@ def _manifest_digest(secret: int, description: bytes, hash_alg: str) -> bytes:
     return hashlib.new(hash_alg, natural_bytes(secret) + description).digest()
 
 
+def _require_fixed_digest(hash_alg: str, transport: Transport) -> None:
+    """Trope sizes its keystream blocks and its manifest digest by the
+    hash's digest size; refuse, and close the transport, before any frame
+    when hash_alg is unknown or has no fixed size (shake_128, shake_256)."""
+    try:
+        fixed = hashlib.new(hash_alg).digest_size > 0
+    except ValueError:
+        fixed = False
+    if not fixed:
+        transport.close()
+        raise ValueError(
+            f"trope needs a hash with a fixed digest size, not {hash_alg!r}"
+        )
+
+
 def run_trope_alice(
     params: RsaParams,
     deposit_secret: int,
@@ -272,6 +289,7 @@ def run_trope_alice(
     ack: bool = True,
 ) -> SessionOutcome:
     """Deposit a secret plus a sealed manifest naming what was deposited."""
+    _require_fixed_digest(hash_alg, transport)
 
     def deposit(challenge: int) -> Response1:
         nonlocal letter_key
@@ -303,6 +321,7 @@ def run_trope_bob(
     ack: bool = True,
 ) -> SessionOutcome:
     """Open the box: recover S and K, unseal the manifest, check its digest."""
+    _require_fixed_digest(hash_alg, transport)
 
     def unseal(t: Transport, recovered: Recovered1) -> bool:
         sealed_msg = _expect(t, Protocol.TROPE, Kind.LETTER)

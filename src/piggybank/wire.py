@@ -115,7 +115,10 @@ def encode_msg(msg: Message) -> bytes:
 
 
 def decode_msg(data: bytes) -> Message:
-    """Parse one frame, requiring exact consumption of the input."""
+    """Parse one frame, requiring exact consumption of the input. A frame
+    longer than _MAX_FRAME bytes is a FormatError on every transport."""
+    if len(data) > _MAX_FRAME:
+        raise FormatError(f"frame longer than {_MAX_FRAME} bytes")
     head = data[:4]
     if head != MAGIC:
         if len(data) < 4 and MAGIC.startswith(head):

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from piggybank import is_probable_prime
-from piggybank.cli import main
+from piggybank.cli import build_parser, main
 
 EXAMPLE1 = (
     "exchange p1 --variant base --n 51 --e 3 --d 11 "
@@ -117,6 +117,24 @@ class TestExchange:
         assert main("exchange p2 --seed 1".split()) == 2
         assert "--p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (EXAMPLE1[:-8] + "--R 13 --S 0 --K 29".split(), "secret must lie"),
+            (EXAMPLE2[:-8] + "--R 11 --S 40 --K 10".split(), "secret exponent"),
+        ],
+    )
+    def test_bad_secret_reported_not_peer_close(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "peer closed" not in err
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range(self, capsys, port):
+        argv = EXAMPLE1[:-2] + ["--mode", "listen", "--port", port]
+        assert main(argv) == 2
+        assert "--port" in capsys.readouterr().err
+
     def test_unknown_flag(self, capsys):
         assert main("exchange p1 --wat 1".split()) == 2
 
@@ -182,6 +200,23 @@ class TestKeygen:
         argv = f"exchange p1 --public-file {public_path} --seed 3".split()
         assert main(argv) == 2
 
+    def test_rsa_files_pinned(self, capsys, tmp_path):
+        public_path = tmp_path / "box.pub"
+        private_path = tmp_path / "box.key"
+        argv = (
+            f"keygen rsa --bits 24 --seed 11 --out {public_path} "
+            f"--private-out {private_path}"
+        ).split()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert public_path.read_text() == (
+            '{\n  "kind": "rsa",\n  "bits": 24,\n  "n": 8412073,\n  "e": 3\n}\n'
+        )
+        assert private_path.read_text() == (
+            '{\n  "kind": "rsa",\n  "n": 8412073,\n  "e": 3,\n  "p": 2381,\n'
+            '  "q": 3533,\n  "phi": 8406160,\n  "d": 5604107\n}\n'
+        )
+
 
 class TestKeyFiles:
     SECRET = {"n": 51, "e": 3, "p": 3, "q": 17, "phi": 32, "d": 11}
@@ -232,6 +267,11 @@ class TestTrope:
     def test_empty_manifest_is_default(self, capsys):
         assert main(self.ARGS) == 0
         assert "manifest_ok=true" in capsys.readouterr().out
+
+    def test_hash_without_fixed_digest(self, capsys):
+        assert main(self.ARGS + ["--hash", "shake_128"]) == 2
+        err = capsys.readouterr().err
+        assert "shake_128" in err and "peer closed" not in err
 
     def test_missing_secret(self, capsys):
         assert main("trope --n 51 --e 3 --d 11 --R 13 --K 29".split()) == 2
@@ -295,6 +335,33 @@ seed = 5
 truncate_bits = 64
 max_rounds = 50
 """
+
+    FLAGS = {
+        "--pulses": ("pulses", "7", 7),
+        "--p-noise": ("p_noise", "0.5", 0.5),
+        "--eve-fraction": ("eve_fraction", "0.25", 0.25),
+        "--passes": ("passes", "3", 3),
+        "--sample-frac": ("sample_frac", "0.2", 0.2),
+        "--trials": ("trials", "9", 9),
+        "--seed": ("seed", "11", 11),
+        "--hash": ("hash_id", "blake2s", "blake2s"),
+        "--truncate-bits": ("truncate_bits", "40", 40),
+        "--max-rounds": ("max_rounds", "6", 6),
+    }
+
+    def test_scenario_flags_and_dests(self):
+        parser = build_parser()
+        defaults = vars(parser.parse_args(["qkd"]))
+        others = {"command", "handler", "scenario", "table_out", "csv_out"}
+        dests = {dest for dest, _, _ in self.FLAGS.values()}
+        assert set(defaults) == dests | others
+        assert all(defaults[dest] is None for dest in dests)
+        argv = ["qkd"]
+        for flag, (_, text, _) in self.FLAGS.items():
+            argv += [flag, text]
+        parsed = vars(parser.parse_args(argv))
+        for dest, _, value in self.FLAGS.values():
+            assert parsed[dest] == value and type(parsed[dest]) is type(value)
 
     def _write_scenario(self, tmp_path, text=None):
         path = tmp_path / "run.scenario"
@@ -380,6 +447,16 @@ max_rounds = 50
         assert main(argv) == 0
         capsys.readouterr()
         assert via_env.read_bytes() == via_flag.read_bytes()
+
+    def test_every_sample_bit_wrong(self, tmp_path, capsys):
+        csv_path = tmp_path / "flipped.csv"
+        argv = (
+            "qkd --p-noise 1.0 --pulses 256 --trials 1 --max-rounds 2 "
+            f"--seed 0 --table-out - --csv-out {csv_path}"
+        ).split()
+        assert main(argv) == 0
+        assert "qber_hint" not in capsys.readouterr().err
+        assert len(csv_path.read_text().splitlines()) == 1 + 2 + 2
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         argv = f"qkd --scenario {tmp_path / 'absent'} --table-out -".split()

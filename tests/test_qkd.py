@@ -331,6 +331,13 @@ class TestCompareStrategies:
         second = compare_strategies(scenario, Rng(5))
         assert render_csv(first) == render_csv(second)
 
+    def test_sample_disagreeing_everywhere(self):
+        # p_noise = 1 flips every matched bit, so the estimate is exactly 1.0
+        scenario = Scenario(pulses=256, trials=1, p_noise=1.0, max_rounds=2)
+        report = compare_strategies(scenario, Rng(0))
+        assert report.cascade.trials == 1
+        assert report.digest.success_rate == 0.0
+
     def test_quiet_channel_is_perfect(self):
         scenario = Scenario(pulses=64, trials=3, p_noise=0.0, truncate_bits=64)
         report = compare_strategies(scenario, Rng(31))
@@ -392,3 +399,67 @@ class TestRendering:
         assert lines[2].startswith("cascade")
         assert lines[3].startswith("digest")
         assert len(lines) == 4
+
+
+# Byte-for-byte CSV pins: any change to how the random stream is consumed,
+# to the record schema or to the number formatting shows up here.
+GOLDEN_CSV = """\
+strategy,trial,rounds,disclosed_bits,pulses,accepted_bits,residual_errors,success
+cascade,0,1,5,64,25,0,true
+cascade,1,1,10,64,30,0,true
+cascade,2,1,5,64,29,0,true
+cascade,3,1,5,64,27,2,false
+digest,0,1,64,64,27,0,true
+digest,1,1,64,64,39,0,true
+digest,2,1,64,64,26,0,true
+digest,3,2,128,128,36,0,true
+cascade,summary,1.000000,6.250000,2.306306,,0.018018,0.750000
+digest,summary,1.250000,80.000000,2.500000,,0.000000,1.000000
+"""
+
+# sample_frac=0.99 leaves no remainder on a short sifted key, so cascade
+# trials 1-3 redo their round; max_rounds=2 makes digest trials 0, 2 and
+# 3 end in NoKeyError.
+GOLDEN_EXHAUSTED_CSV = """\
+strategy,trial,rounds,disclosed_bits,pulses,accepted_bits,residual_errors,success
+cascade,0,1,4,200,1,0,true
+cascade,1,4,4,800,1,0,true
+cascade,2,2,4,400,1,0,true
+cascade,3,2,4,400,1,0,true
+digest,0,2,64,400,0,0,false
+digest,1,1,32,200,89,0,true
+digest,2,2,64,400,0,0,false
+digest,3,2,64,400,0,0,false
+cascade,summary,2.250000,4.000000,450.000000,,0.000000,1.000000
+digest,summary,1.750000,56.000000,15.730337,,0.000000,0.250000
+"""
+GOLDEN_EXHAUSTED_TABLE = """\
+strategy   trials   rounds  disclosed  pulses/bit   residual  success
+---------------------------------------------------------------------
+cascade         4    2.250        4.0     450.000   0.000000    1.000
+digest          4    1.750       56.0      15.730   0.000000    0.250
+"""
+
+
+class TestGoldenReports:
+    def test_csv_pinned(self, rendering_report):
+        text = render_csv(rendering_report)
+        assert text == GOLDEN_CSV
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f190e89bc814822310f2dccb14886a6bd3cd7e6b9fbec51a7a9de7a7663c93c2"
+        )
+
+    def test_retried_and_exhausted_trials_pinned(self):
+        scenario = Scenario(
+            pulses=200,
+            trials=4,
+            p_noise=0.01,
+            eve_fraction=0.02,
+            hash_id="blake2s",
+            truncate_bits=32,
+            sample_frac=0.99,
+            max_rounds=2,
+        )
+        report = compare_strategies(scenario, Rng(4))
+        assert render_csv(report) == GOLDEN_EXHAUSTED_CSV
+        assert render_table(report) == GOLDEN_EXHAUSTED_TABLE

@@ -18,6 +18,7 @@ from piggybank import (
     AliceSecrets2,
     BobP1,
     BobP2,
+    FormatError,
     HandshakeError,
     Kind,
     Message,
@@ -165,6 +166,16 @@ class TestRunPair:
                 AliceP1(params, Variant1.UNIT_R, AliceSecrets1(5, 29)),
             )
 
+    def test_depositor_error_beats_peer_closed(self, desk_rsa):
+        # Alice's deposit refuses S = 0; Bob then only sees the transport
+        # close, and the error that explains the failure is Alice's
+        params, secret = desk_rsa
+        with pytest.raises(ValueError, match="secret must lie"):
+            run_pair(
+                BobP1(params, secret, Variant1.BASE, nonce=13),
+                AliceP1(params, Variant1.BASE, AliceSecrets1(0, 29)),
+            )
+
     def test_protocol_mismatch(self, desk_rsa, desk_dh):
         params, secret = desk_rsa
         with pytest.raises(HandshakeError):
@@ -289,6 +300,29 @@ class TestTrope:
         assert outcome.manifest_ok is True
         sealed = outcome.transcript.entries[3].message.blob
         assert len(sealed) == 4 + 16 + 64
+
+    def test_frame_cap_holds_over_memory(self, desk_rsa):
+        # a 1 MiB manifest makes a fifth frame past the cap that a TCP
+        # peer's read_frame refuses; the memory pair must refuse it too
+        with pytest.raises(FormatError):
+            self.run_fixed(desk_rsa, "x" * (1 << 20))
+
+    @pytest.mark.parametrize("hash_alg", ["shake_128", "shake_256", "no-such-hash"])
+    def test_hash_without_fixed_digest_refused(self, desk_rsa, hash_alg):
+        with pytest.raises(ValueError, match=hash_alg):
+            self.run_fixed(desk_rsa, "coins", hash_alg=hash_alg)
+
+    def test_hash_refused_before_any_frame(self, desk_rsa):
+        params, secret = desk_rsa
+        for run in (
+            lambda end: run_trope_bob(params, secret, end, hash_alg="shake_128"),
+            lambda end: run_trope_alice(params, 5, "", end, hash_alg="shake_128"),
+        ):
+            mine, peer = memory_pair()
+            with pytest.raises(ValueError, match="shake_128"):
+                run(mine)
+            with pytest.raises(TransportClosedError, match="peer closed"):
+                peer.recv()
 
     # blob bytes start at offset 13: header 9, no fields, 4 length bytes
     @pytest.mark.parametrize(
