@@ -230,14 +230,14 @@ def _exchange_roles_p2(args: argparse.Namespace, variant: Variant2, rng: Rng):
 
 def cmd_exchange(args: argparse.Namespace) -> int:
     _require_port(args)
-    samples = (args.mode != "connect" and args.R is None) or (
-        args.mode != "listen" and (args.S is None or args.K is None)
-    )
-    base_rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
     variants = _VARIANTS[args.protocol]
     variant = variants.get(args.variant or next(iter(variants)))
     if variant is None:
         raise ValueError(f"unknown {args.protocol} variant {args.variant!r}")
+    samples = (args.mode != "connect" and args.R is None) or (
+        args.mode != "listen" and (args.S is None or args.K is None)
+    )
+    base_rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
     build = _exchange_roles_p1 if args.protocol == "p1" else _exchange_roles_p2
     bob, alice = build(args, variant, base_rng.derive(2))
     if args.mode == "inproc":

@@ -1,6 +1,7 @@
 """Parity-repair tests: a hand-traced repair, disclosure accounting, and
 the cross-pass backtracking that rescues error pairs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -182,3 +183,138 @@ class TestValidation:
             cascade_reconcile(make_pair([1, 0], [1]), CascadeConfig())
         with pytest.raises(ValueError):
             cascade_reconcile(make_pair([], []), CascadeConfig())
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_config_rejects_seed_outside_64_bits(self, seed):
+        # passes=1 never shuffles, so only the config itself can catch it
+        with pytest.raises(ValueError, match="shuffle_seed"):
+            CascadeConfig(passes=1, shuffle_seed=seed)
+
+    def test_config_accepts_64_bit_seed_bounds(self):
+        for seed in (0, (1 << 64) - 1):
+            assert CascadeConfig(shuffle_seed=seed).shuffle_seed == seed
+
+    @pytest.mark.parametrize(
+        "alice,bob",
+        [
+            ([256, 1], [0, 1]),  # 256 wraps to 0 as uint8
+            ([1, 0, 1, 1], [2, 0, 1, 1]),
+            ([0, 1], [-1, 1]),
+            ([0.5, 1.0], [0.0, 1.0]),
+        ],
+    )
+    def test_reconcile_rejects_non_bit_values(self, alice, bob):
+        pair = SiftedPair(np.array(alice), np.array(bob), np.arange(len(alice)))
+        with pytest.raises(ValueError, match="0 and 1"):
+            cascade_reconcile(pair, CascadeConfig(passes=2, qber_hint=0.1))
+
+    def test_reconcile_accepts_bool_and_wide_int_bits(self):
+        alice = np.array([True, False, True, True, False, False, True, False])
+        bob = np.array([1, 0, 1, 0, 0, 0, 1, 0], dtype=np.int64)
+        result = cascade_reconcile(
+            SiftedPair(alice, bob, np.arange(8)), CascadeConfig(passes=1, qber_hint=0.2)
+        )
+        assert result.success and result.parities_disclosed == 4
+        assert result.corrected_bob_key.dtype == np.uint8
+
+
+def _golden_case(n: int, rate: float, passes: int):
+    g = Rng(n * 1000 + round(rate * 100) * 10 + passes)
+    alice = g.np.integers(0, 2, n, dtype=np.uint8)
+    bob = alice ^ (g.np.random(n) < rate).astype(np.uint8)
+    config = CascadeConfig(
+        passes=passes, qber_hint=rate, shuffle_seed=g.getrandbits(64)
+    )
+    return make_pair(alice, bob), config
+
+
+def _fingerprint(result) -> tuple[str, int, bool]:
+    digest = hashlib.sha256(result.corrected_bob_key.tobytes()).hexdigest()
+    return digest[:16], result.parities_disclosed, result.success
+
+
+# (n, error rate = qber_hint, passes) -> (sha256 prefix of the corrected
+# key, parities disclosed, success), recorded from the per-bit bookkeeping
+# that preceded the interval blocks. Any change to the bisection order,
+# the heap's tie-breaks or the disclosure accounting moves these.
+_GOLDEN = {
+    (1, 0.0, 1): ("6e340b9cffb37a98", 1, True),
+    (1, 0.0, 4): ("4bf5122f344554c5", 4, True),
+    (1, 0.0, 6): ("4bf5122f344554c5", 6, True),
+    (1, 0.03, 1): ("6e340b9cffb37a98", 1, True),
+    (1, 0.03, 4): ("4bf5122f344554c5", 4, True),
+    (1, 0.03, 6): ("6e340b9cffb37a98", 6, True),
+    (1, 0.2, 1): ("4bf5122f344554c5", 1, True),
+    (1, 0.2, 4): ("6e340b9cffb37a98", 4, True),
+    (1, 0.2, 6): ("6e340b9cffb37a98", 6, True),
+    (1, 0.5, 1): ("4bf5122f344554c5", 1, True),
+    (1, 0.5, 4): ("6e340b9cffb37a98", 4, True),
+    (1, 0.5, 6): ("4bf5122f344554c5", 6, True),
+    (2, 0.0, 1): ("96a296d224f285c6", 2, True),
+    (2, 0.0, 4): ("47dc540c94ceb704", 5, True),
+    (2, 0.0, 6): ("b413f47d13ee2fe6", 7, True),
+    (2, 0.03, 1): ("96a296d224f285c6", 2, True),
+    (2, 0.03, 4): ("47dc540c94ceb704", 5, True),
+    (2, 0.03, 6): ("96a296d224f285c6", 7, True),
+    (2, 0.2, 1): ("b413f47d13ee2fe6", 2, True),
+    (2, 0.2, 4): ("96a296d224f285c6", 5, True),
+    (2, 0.2, 6): ("47dc540c94ceb704", 7, True),
+    (2, 0.5, 1): ("9dcf97a184f32623", 2, True),
+    (2, 0.5, 4): ("96a296d224f285c6", 5, True),
+    (2, 0.5, 6): ("b413f47d13ee2fe6", 7, True),
+    (7, 0.0, 1): ("7cc35434c8e26e64", 2, True),
+    (7, 0.0, 4): ("e75f0d5cf1fb54c6", 5, True),
+    (7, 0.0, 6): ("04ff57ccce73e378", 7, True),
+    (7, 0.03, 1): ("6f8f97bc5e3eebd0", 2, True),
+    (7, 0.03, 4): ("c1196e20e60a3e2b", 5, True),
+    (7, 0.03, 6): ("ac82e3cd5011c942", 7, True),
+    (7, 0.2, 1): ("7300813dfc2f3629", 2, True),
+    (7, 0.2, 4): ("3cd197dc7ee1c476", 5, True),
+    (7, 0.2, 6): ("b816e0509adcfc29", 8, True),
+    (7, 0.5, 1): ("989a3b81f32a10a8", 7, True),
+    (7, 0.5, 4): ("8d2dcf6f6d13b395", 14, True),
+    (7, 0.5, 6): ("418aa78637be3eb4", 16, True),
+    (1000, 0.0, 1): ("a00baa1bc0493cd9", 2, True),
+    (1000, 0.0, 4): ("8cb12b8b6620731e", 5, True),
+    (1000, 0.0, 6): ("7151a2bcd42fc4f1", 7, True),
+    (1000, 0.03, 1): ("bfeb4cea6eb5a65b", 134, False),
+    (1000, 0.03, 4): ("3df55498f25634f4", 239, True),
+    (1000, 0.03, 6): ("c33666ca811f8743", 230, True),
+    (1000, 0.2, 1): ("6398421fbfbbd047", 472, False),
+    (1000, 0.2, 4): ("c10df52639e440cc", 907, True),
+    (1000, 0.2, 6): ("f37a52b3b662d3b3", 949, True),
+    (1000, 0.5, 1): ("d546d64331499c9b", 1000, True),
+    (1000, 0.5, 4): ("8ff5b840f2130dd5", 1875, True),
+    (1000, 0.5, 6): ("76d7d14be1ac18f0", 1970, True),
+    (29500, 0.0, 1): ("698c6dd9e30f9e33", 2, True),
+    (29500, 0.0, 4): ("523ed0cdb5b7925e", 5, True),
+    (29500, 0.0, 6): ("bbb5322db274edf0", 7, True),
+    (29500, 0.03, 1): ("e018f46c0d172738", 3348, False),
+    (29500, 0.03, 4): ("7cc7a03badec155b", 6594, True),
+    (29500, 0.03, 6): ("fcd7f7d5d90868fa", 6806, True),
+    (29500, 0.2, 1): ("623275d019231dd5", 13729, False),
+    (29500, 0.2, 4): ("ac2e955b353ad006", 26783, True),
+    (29500, 0.2, 6): ("e8088fb66dbc0119", 27225, True),
+    (29500, 0.5, 1): ("9afb4b22dc8659f2", 29500, True),
+    (29500, 0.5, 4): ("1aaacf6d19710edc", 55313, True),
+    (29500, 0.5, 6): ("08ddbd513365041e", 58079, True),
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("case", sorted(_GOLDEN))
+    def test_sweep_pinned(self, case):
+        pair, config = _golden_case(*case)
+        assert _fingerprint(cascade_reconcile(pair, config)) == _GOLDEN[case]
+
+    def test_backtracking_across_passes_pinned(self):
+        # Errors at 0 and 1 share a first-pass block (k1 = 24) and cancel
+        # in its parity; a later pass repairs one, which turns that block
+        # odd again, and its bisection then finds the other.
+        alice = Rng(7).np.integers(0, 2, 1000, dtype=np.uint8)
+        bob = alice.copy()
+        bob[[0, 1]] ^= 1
+        config = CascadeConfig(passes=4, qber_hint=0.03, shuffle_seed=0)
+        result = cascade_reconcile(make_pair(alice, bob), config)
+        assert np.array_equal(result.corrected_bob_key, alice)
+        assert _fingerprint(result) == ("8b727a7527106b15", 91, True)

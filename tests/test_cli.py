@@ -5,6 +5,7 @@ exercises the installed console entry through subprocesses.
 """
 
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -107,6 +108,23 @@ class TestExchange:
         argv = "exchange p1 --variant nope --n 51 --e 3 --d 11 --seed 1".split()
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "exchange p1 --variant nope --n 51 --e 3 --d 11",
+            "exchange p2 --variant nope --p 37 --g 2",
+        ],
+    )
+    def test_unknown_variant_draws_no_seed(self, capsys, monkeypatch, argv):
+        # No --seed and no PIGGYBANK_SEED (see no_ambient_seed): the usage
+        # error comes before any entropy is drawn or a seed note printed.
+        monkeypatch.delenv("PIGGYBANK_SEED", raising=False)
+        monkeypatch.setattr(os, "urandom", lambda n: pytest.fail("entropy drawn"))
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "entropy seed" not in err
 
     def test_listen_needs_port(self, capsys):
         argv = "exchange p1 --n 51 --e 3 --d 11 --mode listen --seed 1".split()
