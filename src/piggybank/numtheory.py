@@ -97,6 +97,30 @@ class Rng:
     def random(self) -> float:
         return float(self._gen.random())
 
+    def draw_raw(self, count: int) -> tuple[np.ndarray, int | None, dict]:
+        """`count` raw 64-bit PCG64 words, for callers that decode draws
+        themselves.
+
+        Also returns the 32-bit half-word the generator had buffered for
+        its next 32-bit draw (None if none), which raw draws leave alone,
+        and a mark of the stream before the draw for seek_raw.
+        """
+        bit_gen = self._gen.bit_generator
+        mark = bit_gen.state
+        carry = mark["uinteger"] if mark["has_uint32"] else None
+        return bit_gen.random_raw(count), carry, mark
+
+    def seek_raw(self, mark: dict, words: int, carry: int | None) -> None:
+        """Put the stream `words` raw words past `mark`, with `carry`
+        buffered as the next 32-bit half-word (None: nothing buffered)."""
+        bit_gen = self._gen.bit_generator
+        bit_gen.state = mark
+        bit_gen.advance(words)  # also drops any buffered half-word
+        if carry is not None:
+            state = bit_gen.state
+            state["has_uint32"], state["uinteger"] = 1, int(carry)
+            bit_gen.state = state
+
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:
     """base**exp mod modulus, for nonnegative operands."""
