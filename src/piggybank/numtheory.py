@@ -9,7 +9,9 @@ that any run can be reproduced bit for bit.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, prod
 
 import numpy as np
@@ -34,6 +36,17 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 _SMALL_PRIMES = _sieve(256)
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
+# Trial division before Miller-Rabin reaches the primes below this bound.
+_SIEVE_BOUND = 16384
+# Key candidates decoded per block at most; blocks grow 1, 2, 4, ... to it.
+_CANDIDATE_BLOCK = 4096
+
+
+@cache
+def _wide_product() -> int:
+    """Product of the primes from 257 to 16,383, built on first use so
+    that importing the package does not pay for it."""
+    return prod(_sieve(_SIEVE_BOUND)[len(_SMALL_PRIMES) :])
 
 
 class Rng:
@@ -94,8 +107,42 @@ class Rng:
             raise ValueError("empty range")
         return lo + self.randbelow(hi - lo + 1)
 
-    def random(self) -> float:
-        return float(self._gen.random())
+    def getrandbits_many(
+        self, k: int, count: int
+    ) -> tuple[list[int], Callable[[int], None]]:
+        """The next `count` getrandbits(k) values, decoded from one raw draw.
+
+        Leaves the stream where `count` getrandbits(k) calls would, and
+        returns with the values settle(j), which puts the stream where the
+        first j + 1 calls would have left it, buffered half-word included.
+
+        getrandbits(k) takes its ceil(k/8) bytes from ceil(k/32) 32-bit
+        draws, little-endian, and reads them big-endian; a 32-bit draw
+        returns the buffered half-word if there is one, else the low half
+        of the next raw word, buffering the high half.
+        """
+        if k < 1 or count < 1:
+            raise ValueError("bit count and value count must be positive")
+        nbytes = (k + 7) // 8
+        per = (nbytes + 3) // 4  # 32-bit draws per value
+        words, carry, mark = self.draw_raw((count * per + 1) // 2)
+        raw = words.astype("<u8", copy=False).view("<u4")
+        halves = raw if carry is None else np.insert(raw, 0, carry)
+        data = halves[: count * per].view(np.uint8).reshape(count, 4 * per)
+        data = data[:, :nbytes].tobytes()
+        shift = 8 * nbytes - k
+        values = [
+            int.from_bytes(data[i : i + nbytes], "big") >> shift
+            for i in range(0, len(data), nbytes)
+        ]
+
+        def settle(j: int) -> None:
+            used = (j + 1) * per - (carry is not None)  # half-words of `raw`
+            after = int(raw[used]) if used % 2 else None  # a high half
+            self.seek_raw(mark, (used + 1) // 2, after)
+
+        settle(count - 1)
+        return values, settle
 
     def draw_raw(self, count: int) -> tuple[np.ndarray, int | None, dict]:
         """`count` raw 64-bit PCG64 words, for callers that decode draws
@@ -295,12 +342,44 @@ def rsa_open(x: int, secret: RsaSecret) -> int:
     return xq + q * ((xp - xq) * pow(q, -1, p) % p)
 
 
+def _small_factor_free(n: int, least: int) -> bool:
+    """Whether n, a product of candidates the least of which is `least`,
+    has no prime factor below 256 (checked once least >= 256) and none
+    below _SIEVE_BOUND (checked once least >= _SIEVE_BOUND), so that a
+    candidate that is itself a small prime is never refused."""
+    if least >= 256 and gcd(n, _SMALL_PRODUCT) != 1:
+        return False
+    return least < _SIEVE_BOUND or gcd(n, _wide_product()) == 1
+
+
+def _first_candidate(bits: int, rng: Rng, accept: Callable[[int], bool]) -> int:
+    """The first `rng.getrandbits(bits) | 2**(bits-1) | 1` that accept()
+    passes; the stream is left just after its draw.
+
+    Candidates are decoded in blocks of 1, 2, 4, ... up to
+    _CANDIDATE_BLOCK, so a key that needs few draws does not overdraw.
+    """
+    forced = 1 << (bits - 1) | 1
+    count = 1
+    while True:
+        values, settle = rng.getrandbits_many(bits, count)
+        for j, value in enumerate(values):
+            candidate = value | forced
+            if accept(candidate):
+                settle(j)
+                return candidate
+        count = min(2 * count, _CANDIDATE_BLOCK)
+
+
 def _random_prime(bits: int, rng: Rng) -> int:
     # Top bit forced so a product of two such primes lands at full width.
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate, 40):
-            return candidate
+    # The sieve refuses only composites, which the 40-round test refuses
+    # too, so it leaves the output unchanged.
+    return _first_candidate(
+        bits,
+        rng,
+        lambda n: _small_factor_free(n, n) and is_probable_prime(n, 40),
+    )
 
 
 def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
@@ -333,27 +412,30 @@ def gen_dh(bits: int, rng: Rng) -> DhParams:
     """Safe prime p = 2q+1 of `bits` bits plus a verified generator.
 
     Any unit's order divides 2q, so ruling out orders 1, 2 and q by two
-    exponentiations proves g generates the whole group. A joint sieve and a
-    base-2 Fermat test on q and 2q+1 skip only pairs that the 40-round
-    tests would reject, so they leave the output for every rng unchanged.
+    exponentiations proves g generates the whole group. q is drawn as
+    _random_prime(bits - 1) draws. A joint sieve and a base-2 Fermat test
+    on q and 2q+1 skip only pairs that the 40-round tests would reject,
+    so they leave the output for every rng unchanged.
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
-    while True:
-        q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1  # as _random_prime
+
+    def safe(q: int) -> bool:
         p = 2 * q + 1
-        if q >= _EXACT_PRIME_BOUND and (
-            gcd(q * p, _SMALL_PRODUCT) != 1
-            or pow(2, q - 1, q) != 1
-            or pow(2, p - 1, p) != 1
-        ):
-            continue
-        if not (is_probable_prime(q, 40) and is_probable_prime(p, 40)):
-            continue
-        while True:
-            g = 2 + rng.randbelow(p - 3)
-            if mod_exp(g, 2, p) != 1 and mod_exp(g, q, p) != 1:
-                return DhParams(p, g)
+        return (
+            _small_factor_free(q * p, q)
+            and pow(2, q - 1, q) == 1
+            and pow(2, p - 1, p) == 1
+            and is_probable_prime(q, 40)
+            and is_probable_prime(p, 40)
+        )
+
+    q = _first_candidate(bits - 1, rng, safe)
+    p = 2 * q + 1
+    while True:
+        g = 2 + rng.randbelow(p - 3)
+        if mod_exp(g, 2, p) != 1 and mod_exp(g, q, p) != 1:
+            return DhParams(p, g)
 
 
 def rand_residue(n: int, require_unit: bool, rng: Rng) -> int:

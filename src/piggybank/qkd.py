@@ -95,11 +95,15 @@ def channel_transmit(
 
     Draws, in this order: the adversary's hits, bases and random outcomes
     (only when eve_fraction > 0), Bob's random outcomes, then the noise
-    flips (only when p_noise > 0). _measure turns them into bits.
+    flips (only when p_noise > 0). _measure turns them into bits. Bits
+    and bases must be bool or integer arrays holding only 0 and 1.
     """
     n = len(train)
     if bob_bases.shape != train.bits.shape:
         raise ValueError("bob_bases length must match the pulse train")
+    for values in (train.bits, train.bases, bob_bases):
+        if values.dtype.kind not in "biu" or not ((values == 0) | (values == 1)).all():
+            raise ValueError("bits and bases must be integer arrays of 0s and 1s")
     gen = rng.np
     eve = None
     if model.eve_fraction > 0.0:
@@ -383,6 +387,40 @@ def run_digest_protocol(
 
 # --- scenario files and the strategy comparison ---
 
+# Least chance, as a power of 2, that a cascade-arm round leaves a
+# remainder; below it a trial would need some 10^12 rounds on average.
+_MIN_LOG2_CHANCE = -40
+
+
+def _log2_remainder_chance(pulses: int, sample_frac: float) -> float:
+    """log2 of the chance that a round's sifted length, Bin(pulses, 1/2),
+    leaves a remainder after its sample (see Scenario). The rule holds at
+    every length from the shortest one that passes it, L, up, so this is
+    P(Bin(pulses, 1/2) >= L). Returns -1.0 when L <= (pulses + 1) / 2,
+    where the chance is at least 1/2 by symmetry. The rule must hold at
+    L = pulses."""
+    lo, hi = 2, pulses
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.ceil(sample_frac * mid) < mid:
+            hi = mid
+        else:
+            lo = mid + 1
+    if 2 * lo <= pulses + 1:
+        return -1.0
+    # P(Bin = lo) times the sum of the later terms relative to it; their
+    # ratios (pulses - k) / (k + 1) fall below 1 and keep falling.
+    log_first = math.lgamma(pulses + 1) - math.lgamma(lo + 1)
+    log_first -= math.lgamma(pulses - lo + 1)
+    total, term = 1.0, 1.0
+    for k in range(lo, pulses):
+        term *= (pulses - k) / (k + 1)
+        total += term
+        if term < 1e-17 * total:
+            break
+    return (log_first + math.log(total)) / math.log(2) - pulses
+
+
 @dataclass(frozen=True)
 class Scenario:
     pulses: int = 1024
@@ -414,6 +452,13 @@ class Scenario:
             raise ValueError(
                 f"sample_frac={self.sample_frac} leaves no remainder of "
                 f"{self.pulses} pulses: ceil(sample_frac * pulses) >= pulses"
+            )
+        chance = _log2_remainder_chance(self.pulses, self.sample_frac)
+        if chance < _MIN_LOG2_CHANCE:
+            raise ValueError(
+                f"sample_frac={self.sample_frac} on {self.pulses} pulses leaves "
+                f"a remainder with chance 2^{chance:.1f} a round, below "
+                f"2^{_MIN_LOG2_CHANCE}: the cascade arm would not finish"
             )
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")

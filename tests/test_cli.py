@@ -486,3 +486,12 @@ max_rounds = 50
         argv = f"qkd --scenario {scenario} --table-out -".split()
         assert main(argv) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_scenario_that_would_not_finish(self, tmp_path, capsys):
+        # A round leaves a remainder only if all 1,000 bases match.
+        csv_path = tmp_path / "never.csv"
+        argv = "qkd --pulses 1000 --sample-frac 0.999 --trials 1 --seed 1"
+        argv += f" --table-out - --csv-out {csv_path}"
+        assert main(argv.split()) == 2
+        assert "chance 2^-1000.0" in capsys.readouterr().err
+        assert not csv_path.exists()

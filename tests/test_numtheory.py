@@ -5,11 +5,13 @@ exhaustive inverse search, sieve) so that any disagreement points at the
 fast implementation.
 """
 
+import hashlib
 import math
 import random
 
 import pytest
 
+from piggybank import numtheory
 from piggybank import (
     DhParams,
     NotInvertibleError,
@@ -121,6 +123,102 @@ GOLDEN_RSA = {
         ),
     ],
 }
+
+# Keys of the session benchmark (key seeds 0-4) and keygen from a stream
+# with a buffered half-word, recorded before candidates were drawn in
+# blocks; they pin every key and the stream position after keygen.
+GOLDEN_DH_256 = [
+    (
+        0xb60cc0c0b2cbabd998ec8cac554e3a0069cec4c0a87e4aacb26e6a6852b84d5b,
+        0x8df140a34274e011bdf6d072f4c841c39ac44667bb34d84dafbe3ea24e874776,
+    ),
+    (
+        0xd5406d0213c2c4bd0d16d547c1a0dc0102b49eff2e06bc52af6afc44e22ca813,
+        0x61367a992ea7b8c2374b04ae9fe2e7ff0b506eebfce3c1ddd15655be88b295cc,
+    ),
+    (
+        0xbd6cd0aa474ccacc3c92d77c860724ff30d8ee8647902925ab2b9ddf82376cdf,
+        0x5710b74e68e498ad2aa8456a5d2f2d269191a16c9579d6a8aeb6481b21eb22c1,
+    ),
+    (
+        0xe015d0b8512658c45e6f547667d8fc5cf315e3eeb638d7035c7669c71aa62763,
+        0x7b29c02c32f353243d2f4b67b4dc48c6aa96b37994674133391bb87bd642e7c3,
+    ),
+    (
+        0x8f0e0cc97cbedcf2551c8d685707babfd102e06fc8c65b96807bc0001499b43f,
+        0x63bff08298e8333f82461ae5255afae04dba8d6826e77bb30945c91f4579b257,
+    ),
+]
+# sha256 of f"{n:x}:{d:x}" for gen_rsa(1024, 3).
+GOLDEN_RSA_1024 = [
+    "967ba47ee9e8cdb812890ff0bdfa7b552c80d9df619c132f6a207939f75a0f0b",
+    "59297582f0c956deb0ee36476ab8927a3c0c9641c41b05c04c75cf1cc4fd4f66",
+    "989191e1bb411d955a285c85c9e58c482aaffed0e4b09ac76feec882d0620872",
+    "7e476f47ef7dad984ca061c45c99bb7a477f1aab2401513f03d60fb5b7ca22b0",
+    "fbb103212aa276201fb6e9e71f486ec4635c0cb0e368c8f5610a2b5c4c8c9fe8",
+]
+# Keygen from an Rng with a 32-bit half-word buffered (a 5-bit draw first):
+# (kind, bits, seed) -> (n, d) or (p, g), the first 16 hex digits of the
+# sha256 of the next 8 raw words (little-endian), then getrandbits(32).
+# RSA bits 17, 33 and 129 draw halves of different byte widths; DH bits
+# 8 and 12 give q below 2048, the others above.
+GOLDEN_BUFFERED = {
+    ("rsa", 17, 0): (0x15c97, 0xe6cb, "3553cbf3f7a81816", 212023911),
+    ("rsa", 17, 1): (0x154e7, 0xe19b, "f1342dea954df10c", 1306445895),
+    ("rsa", 17, 2): (0x10efd, 0xb32b, "f670b02fcab26988", 1007579729),
+    ("rsa", 33, 0): (0x1619b91f5, 0xebbb7373, "0893e84bf8398376", 529917837),
+    ("rsa", 33, 1): (0x1392de349, 0xd0c7c483, "7ed85c238907e5d1", 2703073908),
+    ("rsa", 33, 2): (0x164f6cf17, 0xedf83c6b, "7cc05be109a9eee7", 1676306764),
+    ("rsa", 129, 0): (
+        0x1161d56dd69af0645f5c93d3d7176b72d,
+        0xb968e4939bca042d3333af3f677b86eb,
+        "7c97b600714dab70",
+        4178257048,
+    ),
+    ("rsa", 129, 1): (
+        0x18794ee18d4a77ac415dfbc26a02a2955,
+        0x1050df4108dc4fc80efa493288c767973,
+        "770ec22d5065f87f",
+        3224761912,
+    ),
+    ("rsa", 129, 2): (
+        0x130193ad6d96fe594d65fcc547c7ef9e3,
+        0xcabb7c8f3b9fee61c2c070a78efc9b4b,
+        "3a99ddfab22a394c",
+        2140313785,
+    ),
+    ("dh", 8, 0): (0xb3, 0x21, "bebb7c43363084f6", 1930467592),
+    ("dh", 8, 1): (0xa7, 0x35, "192579444198c8a7", 772594207),
+    ("dh", 8, 2): (0xe3, 0x20, "2aa4e08778f1f937", 521761232),
+    ("dh", 12, 0): (0xbb7, 0x4e3, "9a5266a3b5c38c9d", 2035919593),
+    ("dh", 12, 1): (0xf6b, 0xa99, "f2e6fd61c6ab84a0", 2687489103),
+    ("dh", 12, 2): (0xc83, 0x1ed, "2aa4e08778f1f937", 521761232),
+    ("dh", 14, 0): (0x3167, 0x2fe1, "cfa41864898335bb", 3875613579),
+    ("dh", 14, 1): (0x3347, 0x2a5e, "f2e6fd61c6ab84a0", 2687489103),
+    ("dh", 14, 2): (0x32f3, 0x2ca3, "c9ca078986b80552", 786977377),
+    ("dh", 33, 0): (0x1a4f23bdf, 0x138400d12, "3a389790ae33d315", 4018826508),
+    ("dh", 33, 1): (0x1bb6a40c7, 0x14ad264d0, "14e4d05e2af692b8", 2225345844),
+    ("dh", 33, 2): (0x178349bd3, 0x1743e115e, "562644eaa22729cf", 1015900121),
+    ("dh", 66, 0): (
+        0x3a32573465fc76937,
+        0x2c3ed801f0f9524e3,
+        "5e19c5202a8806dc",
+        2428890531,
+    ),
+    ("dh", 66, 1): (
+        0x3c2155e81222b771f,
+        0x30cc3c27d76826d40,
+        "d13934e6b3df09a6",
+        2866819464,
+    ),
+    ("dh", 66, 2): (
+        0x342f09051c4f66b83,
+        0x2a8b95c8a070e6e8d,
+        "5126fd1363a302fd",
+        2429571235,
+    ),
+}
+
 
 
 class TestModExp:
@@ -285,6 +383,40 @@ class TestRng:
         seen = {rng.randint(3, 5) for _ in range(200)}
         assert seen == {3, 4, 5}
 
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 31, 32, 33, 255, 511, 512])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_getrandbits_many_matches_calls(self, k, buffered):
+        def fresh():
+            rng = Rng(1000 + k)
+            if buffered:
+                rng.getrandbits(5)  # buffers the high half of a raw word
+            return rng
+
+        def next_draws(rng):
+            raw = rng.np.bit_generator.random_raw(2).tolist()
+            return raw, rng.getrandbits(32), rng.getrandbits(9)
+
+        for count in (1, 2, 3, 8):
+            for j in range(count):
+                loop = fresh()
+                expected = [loop.getrandbits(k) for _ in range(count)]
+                after_all = next_draws(loop)
+                loop = fresh()
+                for _ in range(j + 1):
+                    loop.getrandbits(k)
+                rng = fresh()
+                values, settle = rng.getrandbits_many(k, count)
+                assert values == expected
+                assert next_draws(rng) == after_all
+                settle(j)
+                assert next_draws(rng) == next_draws(loop)
+
+    def test_getrandbits_many_rejects_empty_draws(self):
+        with pytest.raises(ValueError):
+            Rng(1).getrandbits_many(0, 4)
+        with pytest.raises(ValueError):
+            Rng(1).getrandbits_many(8, 0)
+
     def test_rejects_bad_seed_and_algorithm(self):
         with pytest.raises(ValueError):
             Rng(-1)
@@ -382,6 +514,41 @@ class TestKeyGeneration:
     def test_gen_rsa_golden(self, bits):
         got = [gen_rsa(bits, 3, Rng(seed)) for seed in range(5)]
         assert [(params.n, secret.d) for params, secret in got] == GOLDEN_RSA[bits]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_session_keys_golden(self, seed):
+        params, secret = gen_rsa(1024, 3, Rng(seed))
+        text = f"{params.n:x}:{secret.d:x}"
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RSA_1024[seed]
+        dh = gen_dh(256, Rng(seed))
+        assert (dh.p, dh.g) == GOLDEN_DH_256[seed]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_BUFFERED))
+    def test_keygen_after_buffered_half_word_golden(self, case):
+        kind, bits, seed = case
+        rng = Rng(seed)
+        rng.getrandbits(5)
+        assert rng.np.bit_generator.state["has_uint32"]
+        if kind == "rsa":
+            params, secret = gen_rsa(bits, 3, rng)
+            key = (params.n, secret.d)
+        else:
+            dh = gen_dh(bits, rng)
+            key = (dh.p, dh.g)
+        raw = rng.np.bit_generator.random_raw(8).astype("<u8").tobytes()
+        after = (hashlib.sha256(raw).hexdigest()[:16], rng.getrandbits(32))
+        assert (*key, *after) == GOLDEN_BUFFERED[case]
+
+    def test_sieve_refuses_only_composites(self):
+        primes = sieve(40000)
+        for n in range(3, 40000, 2):
+            if not numtheory._small_factor_free(n, n):
+                assert n not in primes
+        for q in range(3, 20000, 2):
+            if not numtheory._small_factor_free(q * (2 * q + 1), q):
+                assert q not in primes or 2 * q + 1 not in primes
+        # the sieve reaches 16,381, the largest prime it divides by
+        assert not numtheory._small_factor_free(16381 * 16411, 16381 * 16411)
 
 
 class TestRandResidue:

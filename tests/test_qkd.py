@@ -12,10 +12,12 @@ import math
 import numpy as np
 import pytest
 
+from piggybank import qkd
 from piggybank import (
     ChannelModel,
     DigestConfig,
     NoKeyError,
+    PulseTrain,
     Rng,
     Scenario,
     channel_transmit,
@@ -84,6 +86,35 @@ class TestChannel:
         train, _ = generate_round(10, Rng(7))
         with pytest.raises(ValueError):
             channel_transmit(train, np.zeros(9, dtype=np.uint8), ChannelModel(), Rng(8))
+
+    @pytest.mark.parametrize("part", ["bits", "bases", "bob_bases"])
+    def test_rejects_values_other_than_bits(self, part):
+        train, bob_bases = generate_round(16, Rng(9))
+        for bad in (
+            np.full(16, 2, dtype=np.uint8),
+            np.full(16, -1, dtype=np.int64),
+            np.zeros(16, dtype=np.float64),
+            train.bits.astype(np.float32),
+        ):
+            arrays = dict(bits=train.bits, bases=train.bases, bob_bases=bob_bases)
+            arrays[part] = bad
+            with pytest.raises(ValueError, match="0s and 1s"):
+                channel_transmit(
+                    PulseTrain(arrays["bits"], arrays["bases"]),
+                    arrays["bob_bases"],
+                    ChannelModel(p_noise=0.1),
+                    Rng(10),
+                )
+
+    def test_accepts_bool_and_wide_int_bits(self):
+        train, bob_bases = generate_round(64, Rng(11))
+        model = ChannelModel(p_noise=0.1, eve_fraction=0.2)
+        expected = channel_transmit(train, bob_bases, model, Rng(12))
+        for dtype in (bool, np.int64):
+            wide = PulseTrain(train.bits.astype(dtype), train.bases.astype(dtype))
+            got = channel_transmit(wide, bob_bases.astype(dtype), model, Rng(12))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, expected)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -711,6 +742,52 @@ class TestParseScenario:
     def test_scenario_leaving_a_bit_is_accepted(self, pulses, sample_frac):
         # A round whose bases all match leaves 1 or 2 bits after its sample.
         assert Scenario(pulses=pulses, sample_frac=sample_frac).pulses == pulses
+
+    @pytest.mark.parametrize(
+        "pulses,sample_frac", [(1000, 0.999), (1000, 0.9985), (500, 0.9975)]
+    )
+    def test_scenario_rarely_leaving_a_remainder_refused(self, pulses, sample_frac):
+        # A remainder needs about 1/(1 - sample_frac) sifted bits, which a
+        # round reaches with chance below 2^-40: the arm would never finish.
+        with pytest.raises(ValueError, match="chance"):
+            Scenario(pulses=pulses, sample_frac=sample_frac)
+        text = f"pulses = {pulses}\nsample_frac = {sample_frac}\n"
+        with pytest.raises(ValueError, match="chance"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "pulses,sample_frac", [(64, 0.98), (1000, 0.998), (300, 0.995)]
+    )
+    def test_scenario_with_a_likely_remainder_accepted(self, pulses, sample_frac):
+        # (64, 0.98) needs some 283,000 rounds a trial on average.
+        assert Scenario(pulses=pulses, sample_frac=sample_frac).pulses == pulses
+
+    @pytest.mark.parametrize(
+        "pulses,sample_frac",
+        [
+            (2, 0.5),
+            (3, 0.6),
+            (11, 0.9),
+            (64, 0.98),
+            (300, 0.995),
+            (1000, 0.9985),
+            (200, 0.99),
+            (1000, 0.998),
+        ],
+    )
+    def test_remainder_chance_is_the_binomial_tail(self, pulses, sample_frac):
+        shortest = next(
+            n
+            for n in range(2, pulses + 1)
+            if math.ceil(sample_frac * n) < n
+        )
+        tail = sum(math.comb(pulses, k) for k in range(shortest, pulses + 1))
+        exact = math.log2(tail) - pulses
+        got = qkd._log2_remainder_chance(pulses, sample_frac)
+        if 2 * shortest <= pulses + 1:
+            assert got == -1.0 and exact >= -1.0
+        else:
+            assert got == pytest.approx(exact, abs=1e-9)
 
 
 @pytest.fixture(scope="module")
