@@ -385,8 +385,11 @@ def _random_prime(bits: int, rng: Rng) -> int:
 def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
     """Fresh keypair with n of exactly `bits` bits and gcd(e, phi) = 1.
 
-    Primes are resampled until the width and coprimality conditions hold,
-    so the loop terminates with probability 1 for any odd e >= 3.
+    Primes are resampled until the width and coprimality conditions hold.
+    Up to 16 bits every prime pair is listed first, without drawing from
+    rng, and a width and e that no pair admits raise ValueError (bits 8
+    with e = 3 or 5: the only candidates are 11 and 13, phi = 120). Wider
+    moduli are not listed; the loop ends once some drawn pair passes.
     """
     if bits < 8:
         raise ValueError("modulus below 8 bits cannot hold two distinct primes")
@@ -394,6 +397,14 @@ def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
         raise ValueError("encryption exponent must be odd and at least 3")
     half_hi = (bits + 1) // 2
     half_lo = bits // 2
+    if bits <= 16 and not any(
+        p != q and (p * q).bit_length() == bits and gcd(e, (p - 1) * (q - 1)) == 1
+        for p in _SMALL_PRIMES
+        if p.bit_length() == half_hi
+        for q in _SMALL_PRIMES
+        if q.bit_length() == half_lo
+    ):
+        raise ValueError(f"no {bits}-bit modulus has gcd(e, phi) = 1 for e = {e}")
     while True:
         p = _random_prime(half_hi, rng)
         q = _random_prime(half_lo, rng)

@@ -1,24 +1,24 @@
-"""Endpoint state machines that run the exchanges over a transport.
+"""Endpoint scripts for the exchanges, and the runners that drive them.
 
 Each exchange is four frames: Bob opens with a challenge carrying the
 variant code, Alice answers with deposit and letter frames, Bob closes
-with an ack once recovery succeeds. One box-owner driver (_bob) and one
-depositor driver (_alice) run that script for every protocol; the
-protocol maths comes in as closures. Either endpoint can be driven over
-any Transport, and records its own wire transcript via an internal tap.
+with an ack once recovery succeeds. One box-owner script (_bob) and one
+depositor script (_alice) run every protocol. A script is a generator:
+it yields each frame to send, yields None to take the next frame, and
+returns (recovered, manifest_ok). _drive runs one over any blocking
+Transport; _run_both steps both ends of an in-process session on the
+caller's thread. Each endpoint records its transcript via a tap.
 
-Trope is the BASE protocol-1 exchange plus one hook on each driver.
-Alice's seal hook sends a fifth frame: a manifest naming the deposited
-goods and a digest binding them to the secret, encrypted with her key
-value as a stream-cipher key. Bob's unseal hook reads it after recovery
-and reports whether the digest checks out; a failed check is a verdict,
-not an abort.
+Trope is BASE plus one hook on each script. Alice's seal hook returns a
+fifth frame: a manifest naming the deposited goods and a digest binding
+them to the secret, encrypted with her key value as a stream-cipher key.
+Bob's unseal hook takes it after recovery and reports whether the digest
+checks out; a failed check is a verdict, not an abort.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import HandshakeError, PiggyBankError, TransportClosedError
@@ -43,8 +43,6 @@ from .protocol2 import (
 )
 from .transport import TapLog, Transport, memory_pair, tap_attach
 from .wire import Kind, Message, Protocol, decode_msg, encode_msg, natural_bytes
-
-_JOIN_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,8 @@ class SessionOutcome:
     transcript: TapLog
 
 
-def _expect(transport: Transport, protocol: Protocol, kind: Kind) -> Message:
-    msg = decode_msg(transport.recv())
+def _expect(frame: bytes, protocol: Protocol, kind: Kind) -> Message:
+    msg = decode_msg(frame)
     if msg.protocol is not protocol:
         raise HandshakeError(
             f"peer speaks {msg.protocol.name}, this endpoint runs {protocol.name}"
@@ -100,62 +98,86 @@ def _expect(transport: Transport, protocol: Protocol, kind: Kind) -> Message:
     return msg
 
 
-def _send(transport: Transport, msg: Message) -> None:
-    transport.send(encode_msg(msg))
+def _bob(role, rng, ack, protocol=None, unseal=None):
+    """The box owner's script: challenge, take deposit and letter, recover, ack.
 
-
-def _bob(transport, protocol, variant, init, recover, ack, unseal=None):
-    """The box owner: challenge, take deposit and letter, recover, ack.
-
-    init() returns the protocol state holding the challenge to send, and
-    recover(state, deposit, letter) opens the box. unseal(t, recovered),
-    when given, reads one more frame and returns the manifest verdict.
+    rng feeds the nonce. Trope runs a BASE BobP1 under Protocol.TROPE with
+    unseal(frame, recovered), which takes one more frame after recovery and
+    returns the manifest verdict.
     """
-    t, log = tap_attach(transport)
-    try:
-        state = init()
-        fields = (int(variant), state.challenge_sent)
-        _send(t, Message(protocol, Kind.CHALLENGE, fields))
-        deposit = _expect(t, protocol, Kind.DEPOSIT)
-        letter = _expect(t, protocol, Kind.LETTER)
-        if len(deposit.fields) != 1 or len(letter.fields) != 1:
-            raise HandshakeError("deposit and letter each carry exactly one field")
-        recovered = recover(state, deposit.fields[0], letter.fields[0])
-        manifest_ok = None if unseal is None else unseal(t, recovered)
-        if ack:
-            _send(t, Message(protocol, Kind.ACK))
-        return SessionOutcome(recovered, manifest_ok, log)
-    finally:
-        transport.close()
+    p1 = isinstance(role, BobP1)
+    protocol = protocol or (Protocol.P1 if p1 else Protocol.P2)
+    if p1:
+        state = p1_init(role.params, role.secret, role.variant, rng, nonce=role.nonce)
+    else:
+        state = p2_init(role.params, rng, nonce=role.nonce)
+    fields = (int(role.variant), state.challenge_sent)
+    yield encode_msg(Message(protocol, Kind.CHALLENGE, fields))
+    deposit = _expect((yield), protocol, Kind.DEPOSIT)
+    letter = _expect((yield), protocol, Kind.LETTER)
+    if len(deposit.fields) != 1 or len(letter.fields) != 1:
+        raise HandshakeError("deposit and letter each carry exactly one field")
+    pair = deposit.fields[0], letter.fields[0]
+    if p1:
+        recovered = p1_recover(state, Response1(*pair))
+    else:
+        recovered = p2_recover(state, role.variant, Response2(*pair))
+    manifest_ok = None if unseal is None else unseal((yield), recovered)
+    if ack:
+        yield encode_msg(Message(protocol, Kind.ACK))
+    return recovered, manifest_ok
 
 
-def _alice(transport, protocol, variant, deposit, ack, seal=None):
-    """The depositor: answer the challenge with deposit and letter frames.
+def _alice(protocol, variant, deposit, ack, seal=None):
+    """The depositor's script: answer the challenge with deposit and letter.
 
-    deposit(challenge) returns the response to send. seal(t), when given,
-    sends one more frame before the ack.
+    deposit(challenge) returns the response to send. seal(), when given,
+    returns one more frame to send before the ack.
     """
-    t, log = tap_attach(transport)
-    try:
-        challenge_msg = _expect(t, protocol, Kind.CHALLENGE)
-        if len(challenge_msg.fields) != 2:
-            raise HandshakeError("challenge carries a variant code and a value")
-        variant_code, challenge = challenge_msg.fields
-        if variant_code != int(variant):
-            raise HandshakeError(
-                f"peer runs variant {variant_code}, "
-                f"this endpoint is configured for {int(variant)}"
-            )
-        response = deposit(challenge)
-        _send(t, Message(protocol, Kind.DEPOSIT, (response.deposit,)))
-        _send(t, Message(protocol, Kind.LETTER, (response.letter,)))
-        if seal is not None:
-            seal(t)
-        if ack:
-            _expect(t, protocol, Kind.ACK)
-        return SessionOutcome(None, None, log)
-    finally:
-        transport.close()
+    challenge_msg = _expect((yield), protocol, Kind.CHALLENGE)
+    if len(challenge_msg.fields) != 2:
+        raise HandshakeError("challenge carries a variant code and a value")
+    variant_code, challenge = challenge_msg.fields
+    if variant_code != int(variant):
+        raise HandshakeError(
+            f"peer runs variant {variant_code}, "
+            f"this endpoint is configured for {int(variant)}"
+        )
+    response = deposit(challenge)
+    yield encode_msg(Message(protocol, Kind.DEPOSIT, (response.deposit,)))
+    yield encode_msg(Message(protocol, Kind.LETTER, (response.letter,)))
+    if seal is not None:
+        yield seal()
+    if ack:
+        _expect((yield), protocol, Kind.ACK)
+    return None, None
+
+
+def _script(role, rng, ack):
+    """The script of one session role; rng feeds a box owner's nonce."""
+    if isinstance(role, (BobP1, BobP2)):
+        return (yield from _bob(role, rng, ack))
+    if not isinstance(role, (AliceP1, AliceP2)):
+        raise TypeError(f"not a session role: {role!r}")
+    p1 = isinstance(role, AliceP1)
+
+    def deposit(challenge: int) -> Response1 | Response2:
+        step = p1_deposit if p1 else p2_deposit
+        return step(role.params, role.variant, challenge, role.secrets)
+
+    protocol = Protocol.P1 if p1 else Protocol.P2
+    return (yield from _alice(protocol, role.variant, deposit, ack))
+
+
+def _drive(script, transport: Transport) -> SessionOutcome:
+    """Run one script over a blocking transport, then close the transport."""
+    side = _Side(script, transport)
+    side.step(receive=False)
+    while side.result is None:
+        side.step(receive=True)
+    if isinstance(side.result, Exception):
+        raise side.result
+    return side.result
 
 
 def run_exchange(
@@ -166,65 +188,66 @@ def run_exchange(
     ack: bool = True,
 ) -> SessionOutcome:
     """Drive one endpoint through a full exchange, then close the transport."""
-    if isinstance(role, BobP1):
-        return _bob(
-            transport,
-            Protocol.P1,
-            role.variant,
-            lambda: p1_init(
-                role.params, role.secret, role.variant, rng, nonce=role.nonce
-            ),
-            lambda state, *pair: p1_recover(state, Response1(*pair)),
-            ack,
-        )
-    if isinstance(role, BobP2):
-        return _bob(
-            transport,
-            Protocol.P2,
-            role.variant,
-            lambda: p2_init(role.params, rng, nonce=role.nonce),
-            lambda state, *pair: p2_recover(state, role.variant, Response2(*pair)),
-            ack,
-        )
-    if isinstance(role, (AliceP1, AliceP2)):
-        p1 = isinstance(role, AliceP1)
-
-        def deposit(challenge: int) -> Response1 | Response2:
-            step = p1_deposit if p1 else p2_deposit
-            return step(role.params, role.variant, challenge, role.secrets)
-
-        protocol = Protocol.P1 if p1 else Protocol.P2
-        return _alice(transport, protocol, role.variant, deposit, ack)
-    transport.close()
-    raise TypeError(f"not a session role: {role!r}")
+    return _drive(_script(role, rng, ack), transport)
 
 
-def _run_both(bob_fn, alice_fn, transports=None):
-    """Run bob_fn(bob_end) and alice_fn(alice_end) on two threads.
+class _Side:
+    """One running script, its tapped end, and the frames it sent and read."""
 
-    transports defaults to a fresh memory pair. When one endpoint fails
-    and the other then dies of the dropped connection, the meaningful
-    error is the one re-raised: a TransportClosedError only when nothing
-    else failed, and a PiggyBankError before any other error.
+    def __init__(self, script, end: Transport) -> None:
+        self.script, self.end = script, end
+        self.tap, self.log = tap_attach(end)
+        self.sent = self.read = 0
+        self.result: SessionOutcome | Exception | None = None  # None: running
+
+    def can_receive(self, peer: _Side) -> bool:
+        """Waiting on a frame peer sent, or on its close, and it is here."""
+        waited = peer.sent > self.read or peer.result is not None
+        return self.result is None and waited and self.tap.ready()
+
+    def step(self, receive: bool) -> None:
+        """Feed the script the next frame (when receive) and send what it
+        yields until it waits for a frame or ends, closing the end."""
+        try:
+            reply = self.tap.recv() if receive else None
+            self.read += receive
+            while (frame := self.script.send(reply)) is not None:
+                self.tap.send(frame)
+                self.sent += 1
+                reply = None
+        except StopIteration as done:
+            self.finish(SessionOutcome(*done.value, self.log))
+        except Exception as exc:  # raised by the runner, once ranked
+            self.finish(exc)
+
+    def finish(self, result: SessionOutcome | Exception) -> None:
+        self.result = result
+        self.end.close()
+
+
+def _run_both(bob_script, alice_script, transports=None):
+    """Step both scripts on the caller's thread; return both outcomes.
+
+    transports defaults to a fresh memory pair. When neither side can
+    receive, the unfinished ones fail at once. The error raised is the
+    most meaningful: a TransportClosedError only when nothing else failed,
+    and a PiggyBankError before any other error.
     """
-    bob_end, alice_end = transports or memory_pair()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(bob_fn, bob_end), pool.submit(alice_fn, alice_end)]
-        results, errors = [], []
-        for future in futures:
-            try:
-                results.append(future.result(timeout=_JOIN_TIMEOUT))
-            except Exception as exc:  # re-raised below, most meaningful first
-                errors.append(exc)
-    errors.sort(
-        key=lambda exc: (
-            isinstance(exc, TransportClosedError),
-            not isinstance(exc, PiggyBankError),
-        )
-    )
+    ends = transports or memory_pair()
+    bob, alice = sides = [_Side(bob_script, ends[0]), _Side(alice_script, ends[1])]
+    for side in sides:
+        side.step(receive=False)
+    while ready := [s for s, p in ((bob, alice), (alice, bob)) if s.can_receive(p)]:
+        ready[0].step(receive=True)
+    for side in sides:
+        if side.result is None:
+            side.finish(TransportClosedError("neither endpoint can move"))
+    errors = [side.result for side in sides if isinstance(side.result, Exception)]
+    errors.sort(key=lambda exc: not isinstance(exc, PiggyBankError))
+    errors.sort(key=lambda exc: isinstance(exc, TransportClosedError))  # stable
     if errors:
         raise errors[0]
-    return tuple(results)
+    return bob.result, alice.result
 
 
 def run_pair(
@@ -235,10 +258,7 @@ def run_pair(
     ack: bool = True,
 ) -> tuple[SessionOutcome, SessionOutcome]:
     """Run both endpoints over an in-memory pair; rng feeds Bob's nonce."""
-    return _run_both(
-        lambda end: run_exchange(bob, end, rng, ack=ack),
-        lambda end: run_exchange(alice, end, ack=ack),
-    )
+    return _run_both(_script(bob, rng, ack), _script(alice, None, ack))
 
 
 # --- trope: sealed contents manifest on top of a BASE exchange ---
@@ -262,19 +282,61 @@ def _manifest_digest(secret: int, description: bytes, hash_alg: str) -> bytes:
     return hashlib.new(hash_alg, natural_bytes(secret) + description).digest()
 
 
-def _require_fixed_digest(hash_alg: str, transport: Transport) -> None:
+def _require_fixed_digest(hash_alg: str) -> None:
     """Trope sizes its keystream blocks and its manifest digest by the
-    hash's digest size; refuse, and close the transport, before any frame
-    when hash_alg is unknown or has no fixed size (shake_128, shake_256)."""
+    hash's digest size; its scripts first refuse, before any frame, a
+    hash_alg that is unknown or has no fixed size (shake_128, shake_256)."""
     try:
-        fixed = hashlib.new(hash_alg).digest_size > 0
+        if hashlib.new(hash_alg).digest_size > 0:
+            return
     except ValueError:
-        fixed = False
-    if not fixed:
-        transport.close()
-        raise ValueError(
-            f"trope needs a hash with a fixed digest size, not {hash_alg!r}"
+        pass
+    raise ValueError(f"trope needs a hash with a fixed digest size, not {hash_alg!r}")
+
+
+def _trope_alice(params, deposit_secret, text, rng, letter_key, hash_alg, ack):
+    """The depositor's trope script: BASE plus the sealed manifest frame."""
+    _require_fixed_digest(hash_alg)
+
+    def deposit(challenge: int) -> Response1:
+        nonlocal letter_key
+        if letter_key is None:
+            if rng is None:
+                raise ValueError("sampling a letter key requires an rng")
+            letter_key = rng.randbelow(params.n)
+        secrets = AliceSecrets1(deposit_secret, letter_key)
+        return p1_deposit(params, Variant1.BASE, challenge, secrets)
+
+    def seal() -> bytes:
+        description = text.encode("utf-8")
+        digest = _manifest_digest(deposit_secret, description, hash_alg)
+        plain = len(description).to_bytes(4, "big") + description + digest
+        sealed = _stream_xor(letter_key, plain, hash_alg)
+        return encode_msg(Message(Protocol.TROPE, Kind.LETTER, (), sealed))
+
+    return (yield from _alice(Protocol.TROPE, Variant1.BASE, deposit, ack, seal))
+
+
+def _trope_bob(params, secret, rng, nonce, hash_alg, ack):
+    """The box owner's trope script: BASE, then unseal and check the manifest."""
+    _require_fixed_digest(hash_alg)
+
+    def unseal(frame: bytes, recovered: Recovered1) -> bool:
+        sealed_msg = _expect(frame, Protocol.TROPE, Kind.LETTER)
+        if sealed_msg.fields:
+            raise HandshakeError("the sealed manifest carries only a blob")
+        plain = _stream_xor(recovered.key, sealed_msg.blob, hash_alg)
+        # plaintext: 4-byte description length, description, digest; a
+        # length prefix that misstates the rest leaves a digest of the
+        # wrong size, which fails the check
+        desc_len = int.from_bytes(plain[:4], "big")
+        description, digest = plain[4 : 4 + desc_len], plain[4 + desc_len :]
+        return len(digest) == hashlib.new(hash_alg).digest_size and (
+            _manifest_digest(recovered.secret, description, hash_alg) == digest
         )
+
+    role = BobP1(params, secret, Variant1.BASE, nonce)
+    return (yield from _bob(role, rng, ack, Protocol.TROPE, unseal))
 
 
 def run_trope_alice(
@@ -289,25 +351,10 @@ def run_trope_alice(
     ack: bool = True,
 ) -> SessionOutcome:
     """Deposit a secret plus a sealed manifest naming what was deposited."""
-    _require_fixed_digest(hash_alg, transport)
-
-    def deposit(challenge: int) -> Response1:
-        nonlocal letter_key
-        if letter_key is None:
-            if rng is None:
-                raise ValueError("sampling a letter key requires an rng")
-            letter_key = rng.randbelow(params.n)
-        secrets = AliceSecrets1(deposit_secret, letter_key)
-        return p1_deposit(params, Variant1.BASE, challenge, secrets)
-
-    def seal(t: Transport) -> None:
-        description = manifest_text.encode("utf-8")
-        digest = _manifest_digest(deposit_secret, description, hash_alg)
-        plain = len(description).to_bytes(4, "big") + description + digest
-        sealed = _stream_xor(letter_key, plain, hash_alg)
-        _send(t, Message(Protocol.TROPE, Kind.LETTER, (), sealed))
-
-    return _alice(transport, Protocol.TROPE, Variant1.BASE, deposit, ack, seal)
+    script = _trope_alice(
+        params, deposit_secret, manifest_text, rng, letter_key, hash_alg, ack
+    )
+    return _drive(script, transport)
 
 
 def run_trope_bob(
@@ -321,31 +368,7 @@ def run_trope_bob(
     ack: bool = True,
 ) -> SessionOutcome:
     """Open the box: recover S and K, unseal the manifest, check its digest."""
-    _require_fixed_digest(hash_alg, transport)
-
-    def unseal(t: Transport, recovered: Recovered1) -> bool:
-        sealed_msg = _expect(t, Protocol.TROPE, Kind.LETTER)
-        if sealed_msg.fields:
-            raise HandshakeError("the sealed manifest carries only a blob")
-        plain = _stream_xor(recovered.key, sealed_msg.blob, hash_alg)
-        # plaintext: 4-byte description length, description, digest; a
-        # length prefix that misstates the rest leaves a digest of the
-        # wrong size, which fails the check
-        desc_len = int.from_bytes(plain[:4], "big")
-        description, digest = plain[4 : 4 + desc_len], plain[4 + desc_len :]
-        return len(digest) == hashlib.new(hash_alg).digest_size and (
-            _manifest_digest(recovered.secret, description, hash_alg) == digest
-        )
-
-    return _bob(
-        transport,
-        Protocol.TROPE,
-        Variant1.BASE,
-        lambda: p1_init(params, secret, Variant1.BASE, rng, nonce=nonce),
-        lambda state, *pair: p1_recover(state, Response1(*pair)),
-        ack,
-        unseal,
-    )
+    return _drive(_trope_bob(params, secret, rng, nonce, hash_alg, ack), transport)
 
 
 def run_trope_session(
@@ -365,23 +388,12 @@ def run_trope_session(
 
     transports, when given, is the (bob_end, alice_end) pair to run over,
     e.g. pre-wrapped in a tampering tap; default is a fresh memory pair.
-    The rng is split deterministically between the two threads.
+    The box owner draws from rng.derive(1) and the depositor from
+    rng.derive(2).
     """
     bob_rng, alice_rng = rng.derive(1), rng.derive(2)
-    bob_outcome, _ = _run_both(
-        lambda end: run_trope_bob(
-            params, secret, end, rng=bob_rng, nonce=nonce, hash_alg=hash_alg, ack=ack
-        ),
-        lambda end: run_trope_alice(
-            params,
-            deposit_secret,
-            manifest_text,
-            end,
-            rng=alice_rng,
-            letter_key=letter_key,
-            hash_alg=hash_alg,
-            ack=ack,
-        ),
-        transports,
+    alice = _trope_alice(
+        params, deposit_secret, manifest_text, alice_rng, letter_key, hash_alg, ack
     )
-    return bob_outcome
+    bob = _trope_bob(params, secret, bob_rng, nonce, hash_alg, ack)
+    return _run_both(bob, alice, transports)[0]

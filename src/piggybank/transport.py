@@ -28,6 +28,10 @@ class Transport:
     def recv(self) -> bytes:
         raise NotImplementedError
 
+    def ready(self) -> bool:
+        """Whether recv would return at once; True where it cannot tell."""
+        return True
+
     def close(self) -> None:
         raise NotImplementedError
 
@@ -60,6 +64,9 @@ class MemoryTransport(Transport):
             raise TransportClosedError("peer closed the transport")
         return item
 
+    def ready(self) -> bool:
+        return not self._in.empty()
+
     def close(self) -> None:
         if not self._closed:
             self._closed = True
@@ -67,7 +74,8 @@ class MemoryTransport(Transport):
 
 
 def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
-    """Two connected in-memory endpoints, one per thread."""
+    """Two connected in-memory endpoints; recv waits for a frame or the
+    peer's close, and ready tells whether one is already there."""
     left, right = queue.Queue(), queue.Queue()
     return MemoryTransport(left, right), MemoryTransport(right, left)
 
@@ -245,6 +253,9 @@ class TapTransport(Transport):
         frame = self._mangle(self._inner.recv())
         self._log.record("rx", frame)
         return frame
+
+    def ready(self) -> bool:
+        return self._inner.ready()
 
     def close(self) -> None:
         self._inner.close()

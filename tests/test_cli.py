@@ -181,6 +181,11 @@ class TestKeygen:
         assert main("keygen rsa --bits 4 --seed 1".split()) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("e", ["3", "5"])
+    def test_rsa_width_no_pair_admits(self, capsys, e):
+        assert main(f"keygen rsa --bits 8 --e {e} --seed 1".split()) == 2
+        assert "no 8-bit modulus" in capsys.readouterr().err
+
     def test_dh_prime_is_safe(self, capsys):
         assert main("keygen dh --bits 8 --seed 1".split()) == 0
         data = json.loads(capsys.readouterr().out)

@@ -482,6 +482,36 @@ class TestKeyGeneration:
         with pytest.raises(ValueError):
             gen_rsa(16, 4, Rng(1))
 
+    @pytest.mark.parametrize("e", [3, 5])
+    def test_gen_rsa_refuses_width_no_pair_admits(self, e):
+        # 11 and 13 are the only 4-bit primes; phi = 120 shares 3 and 5
+        rng = Rng(1)
+        with pytest.raises(ValueError, match="no 8-bit modulus"):
+            gen_rsa(8, e, rng)
+        assert rng.getrandbits(64) == Rng(1).getrandbits(64)  # nothing drawn
+
+    @pytest.mark.parametrize("e", [3, 5, 7, 17, 65537])
+    def test_gen_rsa_small_widths_against_listing(self, e):
+        primes = sieve(1 << 8)
+        for bits in range(8, 17):
+            admits = any(
+                p != q
+                and (p * q).bit_length() == bits
+                and math.gcd(e, (p - 1) * (q - 1)) == 1
+                for p in primes
+                if p.bit_length() == (bits + 1) // 2
+                for q in primes
+                if q.bit_length() == bits // 2
+            )
+            if not admits:
+                with pytest.raises(ValueError):
+                    gen_rsa(bits, e, Rng(bits))
+                continue
+            params, secret = gen_rsa(bits, e, Rng(bits))
+            assert params.n.bit_length() == bits
+            check_rsa_consistent(params, secret)
+        assert gen_rsa(8, 7, Rng(1))[0].n == 143
+
     def test_gen_rsa_roundtrips_messages(self):
         params, secret = gen_rsa(32, 3, Rng(9))
         rnd = random.Random(10)

@@ -7,6 +7,7 @@ byte for byte.
 
 import hashlib
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -66,6 +67,34 @@ def _stream(key: int, length: int, alg: str = "sha256") -> bytes:
 
 def _xor(data: bytes, mask: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(data, mask))
+
+
+def _every_variant(desk_rsa, desk_dh):
+    """(bob, alice) roles with fixed nonces for all seven variants."""
+    params, secret = desk_rsa
+    return [
+        (
+            BobP1(params, secret, v, nonce=1 if v is Variant1.UNIT_R else 13),
+            AliceP1(params, v, AliceSecrets1(7, 30)),
+        )
+        for v in Variant1
+    ] + [
+        (BobP2(desk_dh, v, nonce=11), AliceP2(desk_dh, v, AliceSecrets2(3, 10)))
+        for v in Variant2
+    ]
+
+
+def _over_tcp(bob_run, alice_run):
+    """bob_run(end) and alice_run(end) over one loopback connection."""
+    listener = tcp_listen("127.0.0.1", 0)
+    port = listener.getsockname()[1]
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            bob = pool.submit(lambda: bob_run(tcp_accept(listener)))
+            alice = pool.submit(lambda: alice_run(tcp_connect("127.0.0.1", port)))
+            return bob.result(timeout=30), alice.result(timeout=30)
+    finally:
+        listener.close()
 
 
 class TestRunPair:
@@ -240,6 +269,117 @@ class TestTcpParity:
             tcp_bob.transcript.transcript_lines()
             == mem_bob.transcript.transcript_lines()
         )
+
+    @pytest.mark.parametrize("index", range(len(Variant1) + len(Variant2)))
+    def test_every_variant_matches_over_tcp(self, desk_rsa, desk_dh, index):
+        bob_role, alice_role = _every_variant(desk_rsa, desk_dh)[index]
+        memory = run_pair(bob_role, alice_role)
+        tcp = _over_tcp(
+            lambda end: run_exchange(bob_role, end),
+            lambda end: run_exchange(alice_role, end),
+        )
+        for mem_side, tcp_side in zip(memory, tcp):
+            assert mem_side.recovered == tcp_side.recovered
+            assert mem_side.manifest_ok == tcp_side.manifest_ok
+            assert (
+                mem_side.transcript.transcript_lines()
+                == tcp_side.transcript.transcript_lines()
+            )
+
+    def test_trope_matches_over_tcp(self, desk_rsa):
+        params, secret = desk_rsa
+        bob_end, alice_end = memory_pair()
+        alice_end, alice_log = tap_attach(alice_end)
+        mem_bob = run_trope_session(
+            params,
+            secret,
+            5,
+            "three gold coins",
+            rng=Rng(0),
+            nonce=13,
+            letter_key=29,
+            transports=(bob_end, alice_end),
+        )
+        tcp_bob, tcp_alice = _over_tcp(
+            lambda end: run_trope_bob(
+                params, secret, end, rng=Rng(0).derive(1), nonce=13
+            ),
+            lambda end: run_trope_alice(
+                params, 5, "three gold coins", end, rng=Rng(0).derive(2), letter_key=29
+            ),
+        )
+        assert (mem_bob.recovered, mem_bob.manifest_ok) == (
+            tcp_bob.recovered,
+            tcp_bob.manifest_ok,
+        )
+        assert tcp_alice.recovered is None and tcp_alice.manifest_ok is None
+        assert (
+            mem_bob.transcript.transcript_lines()
+            == tcp_bob.transcript.transcript_lines()
+        )
+        assert alice_log.transcript_lines() == tcp_alice.transcript.transcript_lines()
+
+
+class TestInProcess:
+    """In-process sessions step both endpoints on the caller's thread."""
+
+    def test_sessions_start_no_thread(self, desk_rsa, desk_dh, monkeypatch):
+        params, secret = desk_rsa
+        runs = [
+            lambda bob=bob, alice=alice: run_pair(bob, alice)
+            for bob, alice in _every_variant(desk_rsa, desk_dh)
+        ] + [
+            lambda: run_trope_session(
+                params, secret, 5, "iron nails", rng=Rng(0), nonce=13, letter_key=29
+            )
+        ]
+        unpatched = [run() for run in runs]
+
+        def refuse(thread):
+            raise AssertionError(f"an in-process session started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert [run() for run in runs] == unpatched
+
+    def test_trope_session_over_tcp_ends(self, desk_rsa):
+        # a TCP end cannot tell whether a frame is waiting, so the runner
+        # receives only what the peer has already sent
+        params, secret = desk_rsa
+        listener = tcp_listen("127.0.0.1", 0)
+        alice_end = tcp_connect("127.0.0.1", listener.getsockname()[1])
+        bob_end = tcp_accept(listener)
+        listener.close()
+        outcome = run_trope_session(
+            params,
+            secret,
+            5,
+            "iron nails",
+            rng=Rng(0),
+            nonce=13,
+            letter_key=29,
+            transports=(bob_end, alice_end),
+        )
+        assert outcome.manifest_ok is True
+        assert outcome.recovered == Recovered1(5, 29)
+        assert len(outcome.transcript.entries) == 5
+
+    def test_stalled_pair_fails_fast(self, desk_rsa):
+        # two unconnected pairs: neither endpoint ever gets a frame
+        params, secret = desk_rsa
+        (bob_end, _), (_, alice_end) = memory_pair(), memory_pair()
+        started = time.monotonic()
+        with pytest.raises(TransportClosedError):
+            run_trope_session(
+                params,
+                secret,
+                5,
+                "iron nails",
+                rng=Rng(0),
+                nonce=13,
+                letter_key=29,
+                transports=(bob_end, alice_end),
+            )
+        assert time.monotonic() - started < 1.0
 
 
 class TestTrope:
