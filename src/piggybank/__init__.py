@@ -51,7 +51,6 @@ from .protocol2 import (
     p2_recover,
 )
 from .wire import (
-    ADMISSIBLE_KINDS,
     Kind,
     Message,
     Protocol,

@@ -83,6 +83,7 @@ def _resolve_seed(flag_seed: int | None, *, needed: bool = True) -> int | None:
 def _write_private(path: str, text: str) -> None:
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     with os.fdopen(fd, "w") as handle:
+        os.fchmod(fd, 0o600)  # os.open's mode applies only to a new file
         handle.write(text)
 
 
@@ -277,7 +278,7 @@ def cmd_trope(args: argparse.Namespace) -> int:
             params,
             secret,
             _accept_one(args),
-            rng=rng,
+            rng=rng.derive(1),
             nonce=args.R,
             hash_alg=args.hash_id,
         )
@@ -291,7 +292,7 @@ def cmd_trope(args: argparse.Namespace) -> int:
             args.S,
             args.manifest,
             transport,
-            rng=rng,
+            rng=rng.derive(2),
             letter_key=args.K,
             hash_alg=args.hash_id,
         )

@@ -20,10 +20,6 @@ from .errors import NotInvertibleError
 
 MASK64 = (1 << 64) - 1
 
-# Trial-division bound below which primality is decided exactly: every
-# composite under 2048 has a prime factor <= 43.
-_EXACT_PRIME_BOUND = 2048
-
 
 def _sieve(limit: int) -> tuple[int, ...]:
     flags = bytearray(b"\x01") * limit
@@ -50,25 +46,21 @@ def _wide_product() -> int:
 
 
 class Rng:
-    """Deterministic random source identified by (seed, algorithm).
+    """Deterministic PCG64 random source identified by its seed.
 
-    The same pair always produces the same stream; "pcg64" is the only
-    algorithm implemented. The underlying numpy Generator is exposed via
-    .np for bulk array sampling, and scalar helpers here stay exact for
-    arbitrary-precision bounds.
+    The same seed always produces the same stream. The underlying numpy
+    Generator is exposed via .np for bulk array sampling, and scalar
+    helpers here stay exact for arbitrary-precision bounds.
     """
 
-    def __init__(self, seed: int, algorithm: str = "pcg64"):
+    def __init__(self, seed: int):
         if not 0 <= seed <= MASK64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if algorithm != "pcg64":
-            raise ValueError(f"unknown rng algorithm: {algorithm!r}")
         self.seed = seed
-        self.algorithm = algorithm
         self._gen = np.random.Generator(np.random.PCG64(seed))
 
     def __repr__(self) -> str:
-        return f"Rng(seed={self.seed}, algorithm={self.algorithm!r})"
+        return f"Rng(seed={self.seed})"
 
     @property
     def np(self) -> np.random.Generator:
@@ -78,7 +70,7 @@ class Rng:
         """Child stream for trial `index`, derived as seed xor index."""
         if not 0 <= index <= MASK64:
             raise ValueError("derivation index must fit in 64 bits")
-        return Rng(self.seed ^ index, self.algorithm)
+        return Rng(self.seed ^ index)
 
     def getrandbits(self, k: int) -> int:
         if k < 0:
@@ -100,12 +92,6 @@ class Rng:
             x = self.getrandbits(k)
             if x < n:
                 return x
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], both ends included."""
-        if hi < lo:
-            raise ValueError("empty range")
-        return lo + self.randbelow(hi - lo + 1)
 
     def getrandbits_many(
         self, k: int, count: int
@@ -202,23 +188,18 @@ def _witness_rng(n: int) -> Rng:
 def is_probable_prime(n: int, rounds: int = 40) -> bool:
     """Miller-Rabin test with `rounds` witnesses.
 
-    Exact (plain trial division) for n below 2048. Above that, False is
-    always correct and True is wrong with probability at most 4**-rounds.
+    Exact for n below 257**2, where a number with no prime factor below
+    256 is prime. Above that, False is always correct and True is wrong
+    with probability at most 4**-rounds.
     """
     if rounds < 1:
         raise ValueError("at least one round required")
-    if n < 2:
+    if n < 256:
+        return n in _SMALL_PRIMES
+    if gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    if n < _EXACT_PRIME_BOUND:
-        for p in _SMALL_PRIMES:
-            if p * p > n:
-                return True
-            if n % p == 0:
-                return n == p
+    if n < 257 * 257:
         return True
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return False
     d = n - 1
     s = 0
     while d % 2 == 0:

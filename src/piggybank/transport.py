@@ -137,8 +137,8 @@ def tcp_listen(host: str, port: int) -> socket.socket:
     return listener
 
 
-def tcp_accept(listener: socket.socket, timeout: float = _RECV_TIMEOUT) -> TcpTransport:
-    listener.settimeout(timeout)
+def tcp_accept(listener: socket.socket) -> TcpTransport:
+    listener.settimeout(_RECV_TIMEOUT)
     conn, _ = listener.accept()
     return TcpTransport(conn)
 

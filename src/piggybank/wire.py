@@ -4,8 +4,8 @@ Frame layout, every integer big-endian:
 
     magic    4 bytes   "PBNK"
     version  1 byte    0x01
-    protocol 1 byte    Protocol value
-    kind     1 byte    Kind value
+    protocol 1 byte    Protocol value: 1 P1, 2 P2, 3 TROPE
+    kind     1 byte    Kind value: 1 CHALLENGE, 2 DEPOSIT, 3 LETTER, 6 ACK
     nfields  2 bytes   number of integer fields
     fields   per field: 4-byte length, then that many magnitude bytes
     blob     4-byte length, then that many opaque bytes
@@ -39,28 +39,13 @@ class Protocol(IntEnum):
     P1 = 1
     P2 = 2
     TROPE = 3
-    QKD = 4
 
 
 class Kind(IntEnum):
     CHALLENGE = 1
     DEPOSIT = 2
     LETTER = 3
-    DIGEST_ANNOUNCE = 4
-    RETRANSMIT_REQUEST = 5
-    ACK = 6
-
-
-_CORE_KINDS = frozenset({Kind.CHALLENGE, Kind.DEPOSIT, Kind.LETTER, Kind.ACK})
-
-ADMISSIBLE_KINDS: dict[Protocol, frozenset[Kind]] = {
-    Protocol.P1: _CORE_KINDS,
-    Protocol.P2: _CORE_KINDS,
-    Protocol.TROPE: _CORE_KINDS | {Kind.DIGEST_ANNOUNCE},
-    Protocol.QKD: frozenset(
-        {Kind.DIGEST_ANNOUNCE, Kind.RETRANSMIT_REQUEST, Kind.ACK}
-    ),
-}
+    ACK = 6  # 4 and 5 stay unassigned so pinned ACK frames keep their bytes
 
 
 def natural_bytes(value: int) -> bytes:
@@ -72,7 +57,8 @@ def natural_bytes(value: int) -> bytes:
 
 @dataclass(frozen=True)
 class Message:
-    """One protocol message. Constructing an inadmissible one fails early."""
+    """One protocol message. Constructing one the codec cannot frame
+    fails early."""
 
     protocol: Protocol
     kind: Kind
@@ -83,10 +69,6 @@ class Message:
         object.__setattr__(self, "protocol", Protocol(self.protocol))
         object.__setattr__(self, "kind", Kind(self.kind))
         object.__setattr__(self, "fields", tuple(self.fields))
-        if self.kind not in ADMISSIBLE_KINDS[self.protocol]:
-            raise ValueError(
-                f"{self.kind.name} is not admissible under {self.protocol.name}"
-            )
         if len(self.fields) > _MAX_FIELDS:
             raise ValueError("too many fields for the 2-byte count")
         for value in self.fields:
@@ -147,10 +129,6 @@ def decode_msg(data: bytes) -> Message:
         kind = Kind(kind_byte)
     except ValueError:
         raise FormatError(f"unknown kind tag {kind_byte}") from None
-    if kind not in ADMISSIBLE_KINDS[protocol]:
-        raise FormatError(
-            f"{kind.name} is not admissible under {protocol.name}"
-        )
     nfields = int.from_bytes(take(2, "the field count"), "big")
     fields = []
     for index in range(nfields):

@@ -215,6 +215,16 @@ class TestKeygen:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("S=")
 
+    def test_private_file_overwrite_gets_mode_0600(self, capsys, tmp_path):
+        private_path = tmp_path / "box.key"
+        private_path.write_text("old")
+        private_path.chmod(0o644)
+        argv = f"keygen rsa --bits 24 --seed 11 --private-out {private_path}"
+        assert main(argv.split()) == 0
+        capsys.readouterr()
+        assert private_path.stat().st_mode & 0o777 == 0o600
+        assert json.loads(private_path.read_text())["n"] == 8412073
+
     def test_public_file_alone_cannot_open_box(self, capsys, tmp_path):
         public_path = tmp_path / "box.pub"
         assert main(f"keygen rsa --bits 16 --seed 7 --out {public_path}".split()) == 0
@@ -309,43 +319,66 @@ def _free_port() -> int:
     return port
 
 
+def _listen_connect(base: list[str]) -> tuple[str, str]:
+    """Run `base` as a --mode listen process and a --mode connect process
+    on one loopback port; return both stdouts."""
+    port = _free_port()
+    listener = subprocess.Popen(
+        [sys.executable, "-m", "piggybank"]
+        + base
+        + ["--mode", "listen", "--port", str(port)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        # the note appears once the socket is bound; connect after it
+        assert "listening" in listener.stderr.readline()
+        connector = subprocess.run(
+            [sys.executable, "-m", "piggybank"]
+            + base
+            + ["--mode", "connect", "--port", str(port)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        listen_out, listen_err = listener.communicate(timeout=30)
+    finally:
+        listener.kill()
+    assert connector.returncode == 0, connector.stderr
+    assert listener.returncode == 0, listen_err
+    return listen_out, connector.stdout
+
+
+def _as_peer(transcript: list[str]) -> list[str]:
+    """The transcript lines as the other end prints them."""
+    return [
+        line.replace("tx ", "??").replace("rx ", "tx ").replace("??", "rx ")
+        for line in transcript
+    ]
+
+
 class TestTcpSmoke:
     def test_listen_connect_matches_inproc(self, capsys):
         assert main(EXAMPLE1) == 0
         inproc_out = capsys.readouterr().out
 
-        port = _free_port()
         base = EXAMPLE1[:-2]  # drop "--mode inproc"
-        listener = subprocess.Popen(
-            [sys.executable, "-m", "piggybank"]
-            + base
-            + ["--mode", "listen", "--port", str(port)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            # the note appears once the socket is bound; connect after it
-            assert "listening" in listener.stderr.readline()
-            connector = subprocess.run(
-                [sys.executable, "-m", "piggybank"]
-                + base
-                + ["--mode", "connect", "--port", str(port)],
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
-            listen_out, listen_err = listener.communicate(timeout=30)
-        finally:
-            listener.kill()
-        assert connector.returncode == 0, connector.stderr
-        assert listener.returncode == 0, listen_err
+        listen_out, connect_out = _listen_connect(base)
         assert listen_out == inproc_out
         # the connect side holds no trapdoor, so it prints only its transcript
-        assert connector.stdout.splitlines() == [
-            line.replace("tx ", "??").replace("rx ", "tx ").replace("??", "rx ")
-            for line in inproc_out.splitlines()[2:]
-        ]
+        assert connect_out.splitlines() == _as_peer(inproc_out.splitlines()[2:])
+
+    def test_seeded_trope_matches_inproc(self, capsys):
+        # R and K are drawn, so both ends must draw from the in-process
+        # session's streams for the runs to agree
+        base = "trope --n 51 --e 3 --d 11 --S 5 --seed 5".split()
+        assert main(base) == 0
+        inproc_out = capsys.readouterr().out
+
+        listen_out, connect_out = _listen_connect(base)
+        assert listen_out == inproc_out
+        assert connect_out.splitlines() == _as_peer(inproc_out.splitlines()[3:])
 
 
 class TestQkd:
