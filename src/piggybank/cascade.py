@@ -11,8 +11,13 @@ masking. Work always proceeds smallest-block-first, so one repair can
 cascade back and forth across passes until no registered block is odd.
 
 Every block is an interval of its pass's order (a bisection half, of its
-parent), so a flip finds the blocks holding its bit from the bit's position
-in each pass: the bookkeeping costs per block and per flip, never per bit.
+parent), kept as the plain list [pass_no, start, length, alice_par,
+bob_par, serial]. Each pass holds Alice's prefix parities along its order
+as bytes and Bob's bits in that order as a bytearray that every flip
+updates, so a half's parity is one prefix XOR for Alice and one
+bytearray.count for Bob, with no numpy call per bisection level. A flip
+finds the blocks holding its bit from the bit's position in each pass, so
+the Python-level bookkeeping costs per block and per flip, never per bit.
 
 Alice's key doubles as ground truth in this simulator, so every flip is
 audited: a flip that would corrupt a correct bit raises
@@ -27,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import count
-from operator import attrgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,78 +76,69 @@ def initial_block_size(qber_hint: float, length: int) -> int:
     return max(1, round(0.73 / max(qber_hint, 1.0 / length)))
 
 
-@dataclass(slots=True, eq=False)
-class _Block:
-    """Positions [start, start + len(order)) of pass pass_no's order."""
-
-    order: np.ndarray
-    pass_no: int
-    start: int
-    alice_par: int
-    bob_par: int
-    serial: int
+_START, _LENGTH, _ALICE, _BOB, _SERIAL = range(1, 6)
 
 
 def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResult:
     """Repair Bob's key against Alice's, counting disclosed parity bits."""
-    alice, bob = np.asarray(pair.alice_key), np.asarray(pair.bob_key)
-    if alice.shape != bob.shape or alice.ndim != 1:
+    alice, bob_key = np.asarray(pair.alice_key), np.asarray(pair.bob_key)
+    if alice.shape != bob_key.shape or alice.ndim != 1:
         raise ValueError("keys must be equal-length 1-d bit arrays")
     n = int(alice.size)
     if n == 0:
         raise ValueError("nothing to reconcile")
-    if not all(((key == 0) | (key == 1)).all() for key in (alice, bob)):
+    if not all(((key == 0) | (key == 1)).all() for key in (alice, bob_key)):
         raise ValueError("keys must hold only the bit values 0 and 1")
-    alice, bob = alice.astype(np.uint8), bob.astype(np.uint8)
+    alice = alice.astype(np.uint8)
+    alice_bits, bob = alice.tobytes(), bytearray(bob_key.astype(np.uint8))
 
     disclosed = 0
-    heap: list[tuple[int, int, _Block]] = []
+    heap: list[tuple[int, int, list[int]]] = []
     seq, serials = count(), count()
-    # Per pass: bit -> position in the pass order, block size, the blocks
-    # registered in each top-level block (top first), Alice's prefix parities.
-    passes: list[tuple[np.ndarray, int, list[list[_Block]], bytes]] = []
-
-    def register(into, order, pass_no, start, alice_par, bob_par) -> _Block:
-        block = _Block(order, pass_no, start, alice_par, bob_par, next(serials))
-        into.append(block)
-        if alice_par != bob_par:
-            heapq.heappush(heap, (len(order), next(seq), block))
-        return block
+    # Per pass: order, bit -> position, block size, the blocks registered in
+    # each top-level block (top first), Alice's prefix parities, Bob's bits.
+    passes: list[tuple[np.ndarray, np.ndarray, int, list, bytes, bytearray]] = []
 
     def flip(i: int) -> None:
-        if bob[i] == alice[i]:
+        if bob[i] == alice_bits[i]:
             raise CascadeAuditError(f"flip at index {i} would corrupt a correct bit")
         bob[i] ^= 1
-        holders: list[_Block] = []
-        for pos_of, size, tops, _ in passes:
+        holders: list[list[int]] = []
+        for _, pos_of, size, tops, _, bob_seq in passes:
             p = int(pos_of[i])
-            holders += [b for b in tops[p // size] if 0 <= p - b.start < len(b.order)]
+            bob_seq[p] ^= 1
+            holders += [b for b in tops[p // size] if 0 <= p - b[_START] < b[_LENGTH]]
         # Registration order, the order the heap's tie-breaks are pinned to.
-        for block in sorted(holders, key=attrgetter("serial")):
-            block.bob_par ^= 1
-            if block.alice_par != block.bob_par:
-                heapq.heappush(heap, (len(block.order), next(seq), block))
+        for block in sorted(holders, key=itemgetter(_SERIAL)):
+            block[_BOB] ^= 1
+            if block[_ALICE] != block[_BOB]:
+                heapq.heappush(heap, (block[_LENGTH], next(seq), block))
 
-    def bisect_to_error(block: _Block) -> None:
+    def bisect_to_error(block: list[int]) -> None:
         nonlocal disclosed
-        _, size, tops, prefix = passes[block.pass_no]
-        into = tops[block.start // size]
-        while len(block.order) > 1:
-            order, start = block.order, block.start
-            mid = (len(order) + 1) // 2
+        pass_no, start, length, alice_par, bob_par, _ = block
+        order, _, size, tops, prefix, bob_seq = passes[pass_no]
+        into = tops[start // size]
+        while length > 1:
+            mid = (length + 1) // 2
             disclosed += 1  # Alice announces the first half's parity
-            a, b = prefix[start + mid] ^ prefix[start], int(bob[order[:mid]].sum() & 1)
-            first = register(into, order[:mid], block.pass_no, start, a, b)
-            a, b = block.alice_par ^ a, block.bob_par ^ b
-            second = register(into, order[mid:], block.pass_no, start + mid, a, b)
-            block = first if first.alice_par != first.bob_par else second
-        flip(int(block.order[0]))
+            a = prefix[start + mid] ^ prefix[start]
+            b = bob_seq.count(1, start, start + mid) & 1
+            first = [pass_no, start, mid, a, b, next(serials)]
+            a, b = alice_par ^ a, bob_par ^ b  # the second half's come free
+            second = [pass_no, start + mid, length - mid, a, b, next(serials)]
+            into += first, second
+            # The block is odd, so exactly one half is.
+            block = second if a != b else first
+            heapq.heappush(heap, (block[_LENGTH], next(seq), block))
+            _, start, length, alice_par, bob_par, _ = block
+        flip(int(order[start]))
 
     def settle() -> None:
         # Smallest odd block first; entries of blocks since repaired are stale.
         while heap:
             _, _, block = heapq.heappop(heap)
-            if block.alice_par != block.bob_par:
+            if block[_ALICE] != block[_BOB]:
                 bisect_to_error(block)
 
     k1, rng = initial_block_size(config.qber_hint, n), Rng(config.shuffle_seed)
@@ -151,15 +147,19 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
         order = rng.derive(pass_no + 1).np.permutation(n) if pass_no else np.arange(n)
         pos_of = np.empty(n, dtype=np.intp)
         pos_of[order] = np.arange(n)
-        alice_seq, starts = alice[order], np.arange(0, n, size)
+        alice_seq, bob_seq = alice[order], np.frombuffer(bob, np.uint8)[order]
+        starts = np.arange(0, n, size)
         prefix = bytes(1) + np.bitwise_xor.accumulate(alice_seq).tobytes()
         alice_pars = np.bitwise_xor.reduceat(alice_seq, starts).tolist()
-        bob_pars = np.bitwise_xor.reduceat(bob[order], starts).tolist()
-        tops: list[list[_Block]] = [[] for _ in alice_pars]
-        passes.append((pos_of, size, tops, prefix))
+        bob_pars = np.bitwise_xor.reduceat(bob_seq, starts).tolist()
+        tops: list[list[list[int]]] = [[] for _ in alice_pars]
+        passes.append((order, pos_of, size, tops, prefix, bytearray(bob_seq)))
         for into, start, a, b in zip(tops, starts.tolist(), alice_pars, bob_pars):
-            register(into, order[start : start + size], pass_no, start, a, b)
+            block = [pass_no, start, min(size, n - start), a, b, next(serials)]
+            into.append(block)
+            if a != b:
+                heapq.heappush(heap, (block[_LENGTH], next(seq), block))
         disclosed += len(tops)
         settle()
 
-    return CascadeResult(bob, disclosed, bool(np.array_equal(bob, alice)))
+    return CascadeResult(np.frombuffer(bob, np.uint8), disclosed, bob == alice_bits)

@@ -407,6 +407,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _note(f"error: {exc}")
         return int(ExitStatus.USAGE)
+    except MemoryError as exc:
+        # A size too large to allocate, such as a huge --pulses, is bad usage.
+        _note(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
+        return int(ExitStatus.USAGE)
 
 
 def entrypoint() -> None:

@@ -159,6 +159,18 @@ class TestSeededTrials:
         assert first.parities_disclosed == second.parities_disclosed
         assert first.success == second.success
 
+    def test_corrected_key_is_a_private_writable_array(self):
+        alice = Rng(79).np.integers(0, 2, 64, dtype=np.uint8)
+        bob = alice.copy()
+        bob[[3, 40]] ^= 1
+        pair = make_pair(alice, bob)
+        result = cascade_reconcile(pair, CascadeConfig(passes=4, qber_hint=0.1))
+        key = result.corrected_bob_key
+        assert key.dtype == np.uint8 and key.shape == (64,)
+        assert key.flags.writeable
+        for part in (pair.alice_key, pair.bob_key, pair.kept_indices):
+            assert not np.shares_memory(key, part)
+
     def test_input_pair_not_mutated(self):
         g = Rng(78)
         alice = g.np.integers(0, 2, 64, dtype=np.uint8)
@@ -301,11 +313,32 @@ _GOLDEN = {
 }
 
 
+# (n, error rate, qber_hint) -> fingerprint, at passes=4, recorded from the
+# numpy-gather bisection. The study sizes blocks from a sampled estimate,
+# so the hint is rarely the true rate. Hint 0.0 makes the first block 73%
+# of the key, so a half's parity spans thousands of bits.
+_HINT_GOLDEN = {
+    (29500, 0.03, 0.0): ("eedcb373ca5d2d8b", 18, False),
+    (29500, 0.05, 0.01): ("65c84daeb43c4a78", 9257, True),
+    (29500, 0.01, 0.2): ("a751b3c07219ee60", 14488, True),
+}
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("case", sorted(_GOLDEN))
     def test_sweep_pinned(self, case):
         pair, config = _golden_case(*case)
         assert _fingerprint(cascade_reconcile(pair, config)) == _GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(_HINT_GOLDEN))
+    def test_hint_off_the_true_rate_pinned(self, case):
+        n, rate, hint = case
+        g = Rng(n * 1000 + round(rate * 100) * 10 + round(hint * 100))
+        alice = g.np.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (g.np.random(n) < rate).astype(np.uint8)
+        config = CascadeConfig(passes=4, qber_hint=hint, shuffle_seed=g.getrandbits(64))
+        result = cascade_reconcile(make_pair(alice, bob), config)
+        assert _fingerprint(result) == _HINT_GOLDEN[case]
 
     def test_backtracking_across_passes_pinned(self):
         # Errors at 0 and 1 share a first-pass block (k1 = 24) and cancel

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from piggybank import is_probable_prime
+from piggybank import cli, is_probable_prime
 from piggybank.cli import build_parser, main
 
 EXAMPLE1 = (
@@ -532,4 +532,21 @@ max_rounds = 50
         argv += f" --table-out - --csv-out {csv_path}"
         assert main(argv.split()) == 2
         assert "chance 2^-1000.0" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate")])
+    def test_allocation_failure_is_a_usage_error(
+        self, exc, tmp_path, capsys, monkeypatch
+    ):
+        # Stands in for --pulses 100000000000; a real allocation that large
+        # can succeed under overcommit, so none is attempted here.
+        def compare_strategies(scenario, rng):
+            raise exc
+
+        monkeypatch.setattr(cli, "compare_strategies", compare_strategies)
+        csv_path = tmp_path / "huge.csv"
+        argv = f"qkd --pulses 100000000000 --trials 1 --csv-out {csv_path}".split()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and str(exc) in err
         assert not csv_path.exists()

@@ -961,6 +961,19 @@ class TestGoldenReports:
             "f190e89bc814822310f2dccb14886a6bd3cd7e6b9fbec51a7a9de7a7663c93c2"
         )
 
+    def test_qkd_cascade_benchmark_scenario_pinned(self):
+        # The benchmark's Cascade-bound scenario at three trials: about
+        # 29,500 bits per reconciliation, with the digest arm capped at one
+        # round.
+        scenario = Scenario(
+            pulses=65536, p_noise=0.02, eve_fraction=0.04, max_rounds=1,
+            trials=3, seed=41,
+        )
+        text = render_csv(compare_strategies(scenario, Rng(41)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ad6089c357e900220e7f740fb83147e65b10baba78ee765cbbbffae251e875ff"
+        )
+
     def test_retried_and_exhausted_trials_pinned(self):
         scenario = Scenario(
             pulses=200,
