@@ -7,8 +7,10 @@ other half's parity comes free). Later passes reshuffle the bits with a
 doubled block size, and every block whose parity was ever announced or
 inferred stays registered: when a flip lands inside an earlier block,
 that block's parity flips too, re-exposing any second error it was
-masking. Work always proceeds smallest-block-first, so one repair can
-cascade back and forth across passes until no registered block is odd.
+masking. Pass 0's odd blocks are disjoint, so they are bisected in one
+batch that skips the heap; from pass 1 on, work goes smallest-block-first,
+so one repair can cascade back and forth across passes until no registered
+block is odd.
 
 Every block is an interval of its pass's order (a bisection half, of its
 parent), kept as the plain list [pass_no, start, length, alice_par,
@@ -77,6 +79,7 @@ def initial_block_size(qber_hint: float, length: int) -> int:
 
 
 _START, _LENGTH, _ALICE, _BOB, _SERIAL = range(1, 6)
+_CORRUPT = "flip at index {} would corrupt a correct bit"
 
 
 def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResult:
@@ -101,7 +104,7 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
 
     def flip(i: int) -> None:
         if bob[i] == alice_bits[i]:
-            raise CascadeAuditError(f"flip at index {i} would corrupt a correct bit")
+            raise CascadeAuditError(_CORRUPT.format(i))
         bob[i] ^= 1
         holders: list[list[int]] = []
         for _, pos_of, size, tops, _, bob_seq in passes:
@@ -128,11 +131,39 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             a, b = alice_par ^ a, bob_par ^ b  # the second half's come free
             second = [pass_no, start + mid, length - mid, a, b, next(serials)]
             into += first, second
-            # The block is odd, so exactly one half is.
+            # The block is odd, so exactly one half is. It gets no heap entry: it is
+            # tiled by the leaf flipped below and by shorter siblings, which are all
+            # even before an entry for it could pop, so that pop would find it even.
             block = second if a != b else first
-            heapq.heappush(heap, (block[_LENGTH], next(seq), block))
             _, start, length, alice_par, bob_par, _ = block
         flip(int(order[start]))
+
+    def settle_first_pass(odd: np.ndarray, errors: np.ndarray) -> None:
+        # Pass 0's odd top blocks are disjoint and a flip in one touches no
+        # other, so they settle in one batch, without the heap but in its order,
+        # each bisected into halves that end even. A first half is the odd one
+        # when diff, the running parity of Bob's errors, differs across it.
+        nonlocal disclosed
+        _, _, size, tops, prefix, bob_seq = passes[0]
+        diff = np.bitwise_xor.accumulate(np.append(np.uint8(0), errors)).tobytes()
+        for top in sorted(odd.tolist(), key=lambda t: min(size, n - t * size)):
+            into, start = tops[top], top * size
+            length = min(size, n - start)
+            while length > 1:
+                mid = (length + 1) // 2
+                a = prefix[start + mid] ^ prefix[start]
+                e = prefix[start + length] ^ prefix[start + mid]
+                first = [0, start, mid, a, a, next(serials)]
+                into += first, [0, start + mid, length - mid, e, e, next(serials)]
+                disclosed += 1
+                if diff[start + mid] == diff[start]:
+                    start, length = start + mid, length - mid
+                else:
+                    length = mid
+            if bob[start] == alice_bits[start]:
+                raise CascadeAuditError(_CORRUPT.format(start))
+            bob[start] = bob_seq[start] = alice_bits[start]
+            into[0][_BOB] ^= 1
 
     def settle() -> None:
         # Smallest odd block first; entries of blocks since repaired are stale.
@@ -150,16 +181,19 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
         alice_seq, bob_seq = alice[order], np.frombuffer(bob, np.uint8)[order]
         starts = np.arange(0, n, size)
         prefix = bytes(1) + np.bitwise_xor.accumulate(alice_seq).tobytes()
-        alice_pars = np.bitwise_xor.reduceat(alice_seq, starts).tolist()
-        bob_pars = np.bitwise_xor.reduceat(bob_seq, starts).tolist()
-        tops: list[list[list[int]]] = [[] for _ in alice_pars]
+        alice_pars = np.bitwise_xor.reduceat(alice_seq, starts)
+        bob_pars = np.bitwise_xor.reduceat(bob_seq, starts)
+        tops: list[list[list[int]]] = [[] for _ in starts]
         passes.append((order, pos_of, size, tops, prefix, bytearray(bob_seq)))
-        for into, start, a, b in zip(tops, starts.tolist(), alice_pars, bob_pars):
+        pars = zip(tops, starts.tolist(), alice_pars.tolist(), bob_pars.tolist())
+        for into, start, a, b in pars:
             block = [pass_no, start, min(size, n - start), a, b, next(serials)]
             into.append(block)
-            if a != b:
+            if a != b and pass_no:
                 heapq.heappush(heap, (block[_LENGTH], next(seq), block))
         disclosed += len(tops)
+        if not pass_no:
+            settle_first_pass(np.flatnonzero(alice_pars != bob_pars), alice ^ bob_seq)
         settle()
 
     return CascadeResult(np.frombuffer(bob, np.uint8), disclosed, bob == alice_bits)

@@ -36,6 +36,7 @@ from .session import (
     run_trope_bob,
     run_trope_session,
 )
+from .session import _require_manifest_fits
 from .transport import Transport, tcp_accept, tcp_connect, tcp_listen
 
 
@@ -94,9 +95,23 @@ def _emit(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
+class _LongInt(str):
+    """The digits of a JSON integer longer than int() converts."""
+
+
+def _parse_int(digits: str) -> int | _LongInt:
+    try:
+        return int(digits)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return _LongInt(digits)
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle, parse_int=_parse_int)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
     return data
@@ -107,6 +122,9 @@ def _key_fields(path: str, *records: type) -> tuple:
     key file; ValueError names a missing or bad field."""
     data = _load_json(path)
     for name in [field.name for record in records for field in fields(record)]:
+        if isinstance(data.get(name), _LongInt):
+            digits = len(data[name].lstrip("-"))
+            raise ValueError(f"{path}: field {name!r} has {digits} digits, too many")
         if type(data.get(name)) is not int:
             raise ValueError(f"{path}: field {name!r} is missing or not an integer")
     return tuple(
@@ -254,6 +272,8 @@ def cmd_exchange(args: argparse.Namespace) -> int:
 
 def cmd_trope(args: argparse.Namespace) -> int:
     _require_port(args)
+    if args.mode != "listen":
+        _require_manifest_fits(args.manifest, args.hash_id)
     samples = (args.mode != "connect" and args.R is None) or (
         args.mode != "listen" and args.K is None
     )

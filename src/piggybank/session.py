@@ -42,7 +42,8 @@ from .protocol2 import (
     p2_recover,
 )
 from .transport import TapLog, Transport, memory_pair, tap_attach
-from .wire import Kind, Message, Protocol, decode_msg, encode_msg, natural_bytes
+from .wire import _MAX_FRAME, Kind, Message, Protocol, decode_msg, encode_msg
+from .wire import natural_bytes
 
 
 @dataclass(frozen=True)
@@ -292,6 +293,20 @@ def _require_fixed_digest(hash_alg: str) -> None:
     except ValueError:
         pass
     raise ValueError(f"trope needs a hash with a fixed digest size, not {hash_alg!r}")
+
+
+def _require_manifest_fits(text: str, hash_alg: str) -> None:
+    """Refuse, before any frame is sent, a manifest whose sealed frame would
+    pass the frame limit that every peer's decoder enforces."""
+    _require_fixed_digest(hash_alg)
+    # the sealed plaintext: 4-byte description length, description, digest
+    plain = 4 + len(text.encode("utf-8")) + hashlib.new(hash_alg).digest_size
+    size = len(encode_msg(Message(Protocol.TROPE, Kind.LETTER))) + plain
+    if size > _MAX_FRAME:
+        raise ValueError(
+            f"the manifest seals into a {size}-byte frame, "
+            f"over the {_MAX_FRAME}-byte frame limit"
+        )
 
 
 def _trope_alice(params, deposit_secret, text, rng, letter_key, hash_alg, ack):

@@ -1,7 +1,10 @@
 """Parity-repair tests: a hand-traced repair, disclosure accounting, and
 the cross-pass backtracking that rescues error pairs."""
 
+import collections
 import hashlib
+import heapq
+import itertools
 import math
 
 import numpy as np
@@ -351,3 +354,85 @@ class TestGoldenOutputs:
         result = cascade_reconcile(make_pair(alice, bob), config)
         assert np.array_equal(result.corrected_bob_key, alice)
         assert _fingerprint(result) == ("8b727a7527106b15", 91, True)
+
+
+def _reference_reconcile(alice, bob, config):
+    """Cascade settled one block at a time, every pass through the heap:
+    every odd block, each half a descent moves into included, goes on a heap
+    ordered by (length, push order), and a flip re-parities the blocks that
+    hold its bit in the order they were registered."""
+    alice, bob = alice.tolist(), bob.tolist()
+    n, heap, pushes, disclosed = len(alice), [], itertools.count(), 0
+    holders = [[] for _ in range(n)]  # per bit, the blocks holding it
+
+    def register(idx):
+        block = [idx, sum(alice[i] for i in idx) & 1, sum(bob[i] for i in idx) & 1]
+        for i in idx:
+            holders[i].append(block)
+        return block
+
+    def push_if_odd(block):
+        if block[1] != block[2]:
+            heapq.heappush(heap, (len(block[0]), next(pushes), block))
+
+    def flip(i):
+        assert bob[i] != alice[i], "the reference flipped a correct bit"
+        bob[i] ^= 1
+        for block in holders[i]:
+            block[2] ^= 1
+            push_if_odd(block)
+
+    k1, rng = initial_block_size(config.qber_hint, n), Rng(config.shuffle_seed)
+    for p in range(config.passes):
+        size = min(n, k1 << p)
+        order = rng.derive(p + 1).np.permutation(n).tolist() if p else list(range(n))
+        for start in range(0, n, size):
+            push_if_odd(register(order[start : start + size]))
+            disclosed += 1
+        while heap:
+            block = heapq.heappop(heap)[2]
+            while block[1] != block[2] and len(block[0]) > 1:
+                idx, half = block[0], (len(block[0]) + 1) // 2
+                first, second = register(idx[:half]), register(idx[half:])
+                disclosed += 1
+                block = first if first[1] != first[2] else second
+                push_if_odd(block)
+            if block[1] != block[2]:
+                flip(block[0][0])
+    return np.array(bob, dtype=np.uint8), disclosed, bob == alice
+
+
+def _oracle_cases():
+    # One key in five has at most 12 bits; passes cycle through 1-6 and the
+    # hint through 0, half the true rate, the true rate and double it.
+    g = Rng(2026)
+    for case in range(200):
+        n = int(g.np.integers(1, 13 if case % 5 == 0 else 1500))
+        rate = float(g.np.uniform(0.01, 0.35))
+        hint = (0.0, rate / 2, rate, 2 * rate)[case // 6 % 4]
+        alice = g.np.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (g.np.random(n) < rate).astype(np.uint8)
+        yield alice, bob, CascadeConfig(case % 6 + 1, hint, g.getrandbits(64))
+
+
+class TestAgainstReference:
+    CASES = list(_oracle_cases())
+
+    def test_matches_one_by_one_reference(self):
+        for alice, bob, config in self.CASES:
+            result = cascade_reconcile(make_pair(alice, bob), config)
+            key, disclosed, success = _reference_reconcile(alice, bob, config)
+            assert np.array_equal(result.corrected_bob_key, key), config
+            assert (result.parities_disclosed, result.success) == (disclosed, success)
+
+    def test_cases_reach_the_batch_edges(self):
+        seen = collections.Counter()
+        for alice, bob, config in self.CASES:
+            n, errors = alice.size, (alice ^ bob).astype(int)
+            k1 = initial_block_size(config.qber_hint, n)
+            per_block = np.add.reduceat(errors, np.arange(0, n, k1))
+            seen["odd short tail"] += bool(n % k1 and per_block[-1] % 2)
+            seen["3+ errors in a first-pass block"] += bool((per_block >= 3).any())
+            seen["a pass's block size capped at n"] += k1 << config.passes - 1 > n
+            seen[f"{config.passes} passes"] += 1
+        assert len(seen) == 9 and min(seen.values()) >= 5, seen

@@ -270,6 +270,19 @@ class TestKeyFiles:
         err = capsys.readouterr().err
         assert str(path) in err and repr(field) in err
 
+    def test_deeply_nested_key_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text("[" * 100_000)
+        assert main(f"trope --secret-file {path} --S 5 --seed 3".split()) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_overlong_integer_field_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(self.SECRET).replace("51", "9" * 5000))
+        assert main(f"exchange p1 --secret-file {path} --seed 3".split()) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "'n'" in err and "5000 digits" in err
+
     def test_missing_public_field_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "k.pub"
         path.write_text(json.dumps({"n": 51}))
@@ -309,6 +322,22 @@ class TestTrope:
     def test_missing_secret(self, capsys):
         assert main("trope --n 51 --e 3 --d 11 --R 13 --K 29".split()) == 2
         assert "--S" in capsys.readouterr().err
+
+    # The sealed frame is a 13-byte header, a 4-byte length, the manifest
+    # and a 32-byte sha256 digest, within the 1 MiB frame limit.
+    LONGEST_MANIFEST = (1 << 20) - 13 - 4 - 32
+
+    @pytest.mark.parametrize("mode", ["inproc", "connect"])
+    def test_manifest_past_frame_limit_refused_before_any_frame(self, capsys, mode):
+        # the connect run must fail before it connects to port 9
+        argv = self.ARGS + ["--mode", mode, "--port", "9", "--manifest"]
+        assert main(argv + ["x" * (self.LONGEST_MANIFEST + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1048576-byte frame limit" in captured.err
+
+    def test_longest_manifest_fits(self, capsys):
+        assert main(self.ARGS + ["--manifest", "x" * self.LONGEST_MANIFEST]) == 0
+        assert "manifest_ok=true" in capsys.readouterr().out
 
 
 def _free_port() -> int:
