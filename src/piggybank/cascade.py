@@ -21,6 +21,11 @@ bytearray.count for Bob, with no numpy call per bisection level. A flip
 finds the blocks holding its bit from the bit's position in each pass, so
 the Python-level bookkeeping costs per block and per flip, never per bit.
 
+No block is built before a flip can reach it. A top-level block, its
+serial reserved, is built when it is odd as its pass begins or a flip
+first lands in it; until then it is even. Once the keys agree, no later
+pass is even shuffled.
+
 Alice's key doubles as ground truth in this simulator, so every flip is
 audited: a flip that would corrupt a correct bit raises
 CascadeAuditError instead of silently diverging.
@@ -99,18 +104,28 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     heap: list[tuple[int, int, list[int]]] = []
     seq, serials = count(), count()
     # Per pass: order, bit -> position, block size, the blocks registered in
-    # each top-level block (top first), Alice's prefix parities, Bob's bits.
-    passes: list[tuple[np.ndarray, np.ndarray, int, list, bytes, bytearray]] = []
+    # each top-level block that has any (top first), Alice's prefix parities,
+    # Bob's bits in order, and the serial of its first top-level block.
+    passes: list[tuple] = []
+
+    def top(pass_no: int, t: int, odd: int) -> list[list[int]]:
+        # Registers top-level block t, whose parities differ by odd.
+        _, _, size, tops, prefix, _, base = passes[pass_no]
+        start, end = t * size, min(n, (t + 1) * size)
+        a = prefix[end] ^ prefix[start]
+        tops[t] = [[pass_no, start, end - start, a, a ^ odd, base + t]]
+        return tops[t]
 
     def flip(i: int) -> None:
         if bob[i] == alice_bits[i]:
             raise CascadeAuditError(_CORRUPT.format(i))
         bob[i] ^= 1
         holders: list[list[int]] = []
-        for _, pos_of, size, tops, _, bob_seq in passes:
+        for pass_no, (_, pos_of, size, tops, _, bob_seq, _) in enumerate(passes):
             p = int(pos_of[i])
             bob_seq[p] ^= 1
-            holders += [b for b in tops[p // size] if 0 <= p - b[_START] < b[_LENGTH]]
+            into = tops.get(p // size) or top(pass_no, p // size, 0)
+            holders += [b for b in into if 0 <= p - b[_START] < b[_LENGTH]]
         # Registration order, the order the heap's tie-breaks are pinned to.
         for block in sorted(holders, key=itemgetter(_SERIAL)):
             block[_BOB] ^= 1
@@ -120,7 +135,7 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     def bisect_to_error(block: list[int]) -> None:
         nonlocal disclosed
         pass_no, start, length, alice_par, bob_par, _ = block
-        order, _, size, tops, prefix, bob_seq = passes[pass_no]
+        order, _, size, tops, prefix, bob_seq, _ = passes[pass_no]
         into = tops[start // size]
         while length > 1:
             mid = (length + 1) // 2
@@ -144,11 +159,11 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
         # each bisected into halves that end even. A first half is the odd one
         # when diff, the running parity of Bob's errors, differs across it.
         nonlocal disclosed
-        _, _, size, tops, prefix, bob_seq = passes[0]
+        _, _, size, _, prefix, bob_seq, _ = passes[0]
         diff = np.bitwise_xor.accumulate(np.append(np.uint8(0), errors)).tobytes()
-        for top in sorted(odd.tolist(), key=lambda t: min(size, n - t * size)):
-            into, start = tops[top], top * size
-            length = min(size, n - start)
+        for t in sorted(odd.tolist(), key=lambda t: min(size, n - t * size)):
+            into = top(0, t, 1)
+            _, start, length, *_ = into[0]
             while length > 1:
                 mid = (length + 1) // 2
                 a = prefix[start + mid] ^ prefix[start]
@@ -175,25 +190,28 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     k1, rng = initial_block_size(config.qber_hint, n), Rng(config.shuffle_seed)
     for pass_no in range(config.passes):
         size = min(n, k1 << pass_no)
-        order = rng.derive(pass_no + 1).np.permutation(n) if pass_no else np.arange(n)
-        pos_of = np.empty(n, dtype=np.intp)
-        pos_of[order] = np.arange(n)
-        alice_seq, bob_seq = alice[order], np.frombuffer(bob, np.uint8)[order]
-        starts = np.arange(0, n, size)
+        base, blocks = next(serials), -(-n // size)
+        serials = count(base + blocks)
+        disclosed += blocks
+        errors = alice ^ np.frombuffer(bob, np.uint8)
+        if not errors.any():
+            continue
+        order = pos_of = range(n)
+        alice_seq, along = alice, errors
+        if pass_no:
+            order = rng.derive(pass_no + 1).np.permutation(n)
+            pos_of = np.empty(n, dtype=np.intp)
+            pos_of[order] = np.arange(n)
+            alice_seq, along = alice[order], errors[order]
         prefix = bytes(1) + np.bitwise_xor.accumulate(alice_seq).tobytes()
-        alice_pars = np.bitwise_xor.reduceat(alice_seq, starts)
-        bob_pars = np.bitwise_xor.reduceat(bob_seq, starts)
-        tops: list[list[list[int]]] = [[] for _ in starts]
-        passes.append((order, pos_of, size, tops, prefix, bytearray(bob_seq)))
-        pars = zip(tops, starts.tolist(), alice_pars.tolist(), bob_pars.tolist())
-        for into, start, a, b in pars:
-            block = [pass_no, start, min(size, n - start), a, b, next(serials)]
-            into.append(block)
-            if a != b and pass_no:
+        bob_seq = bytearray(alice_seq ^ along)
+        passes.append((order, pos_of, size, {}, prefix, bob_seq, base))
+        odd = np.flatnonzero(np.bitwise_xor.reduceat(along, np.arange(0, n, size)))
+        if pass_no:
+            for block in [top(pass_no, t, 1)[0] for t in odd.tolist()]:
                 heapq.heappush(heap, (block[_LENGTH], next(seq), block))
-        disclosed += len(tops)
-        if not pass_no:
-            settle_first_pass(np.flatnonzero(alice_pars != bob_pars), alice ^ bob_seq)
+        else:
+            settle_first_pass(odd, errors)
         settle()
 
     return CascadeResult(np.frombuffer(bob, np.uint8), disclosed, bob == alice_bits)

@@ -18,8 +18,8 @@ from enum import IntEnum
 from pathlib import Path
 
 from .errors import PiggyBankError
-from .numtheory import DhParams, Rng, RsaParams, RsaSecret, gen_dh, gen_rsa, rand_residue
-from .numtheory import _factorize
+from .numtheory import DhParams, Rng, RsaParams, RsaSecret, gen_dh, gen_rsa
+from .numtheory import _factorize, rand_residue
 from .protocol1 import AliceSecrets1, Recovered1, Variant1
 from .protocol2 import AliceSecrets2, Outcome2, Variant2
 from .qkd import Scenario, compare_strategies, parse_scenario, render_csv, render_table
@@ -215,23 +215,39 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return int(ExitStatus.OK)
 
 
-def _exchange_roles_p1(args: argparse.Namespace, variant: Variant1, rng: Rng):
+def _exchange_keys(args: argparse.Namespace) -> DhParams | tuple:
+    """The exchange's keys, read and checked before any seed is drawn: DH
+    parameters for p2, RSA parameters and Bob's secret (None for connect)
+    for p1."""
+    if args.protocol == "p2":
+        if args.p is None or args.g is None:
+            raise ValueError("need --p and --g for p2")
+        return DhParams(args.p, args.g)
+    if args.mode == "connect":
+        return _rsa_public(args), None
+    return _rsa_private(args)
+
+
+def _exchange_roles_p1(
+    args: argparse.Namespace,
+    variant: Variant1,
+    keys: tuple[RsaParams, RsaSecret | None],
+    rng: Rng,
+):
+    params, secret = keys
     bob = alice = None
     if args.mode in ("inproc", "listen"):
-        params, secret = _rsa_private(args)
         bob = BobP1(params, secret, variant, nonce=args.R)
     if args.mode in ("inproc", "connect"):
-        params = bob.params if bob is not None else _rsa_public(args)
         s = args.S if args.S is not None else rand_residue(params.n, False, rng)
         k = args.K if args.K is not None else rng.randbelow(params.n)
         alice = AliceP1(params, variant, AliceSecrets1(s, k))
     return bob, alice
 
 
-def _exchange_roles_p2(args: argparse.Namespace, variant: Variant2, rng: Rng):
-    if args.p is None or args.g is None:
-        raise ValueError("need --p and --g for p2")
-    params = DhParams(args.p, args.g)
+def _exchange_roles_p2(
+    args: argparse.Namespace, variant: Variant2, params: DhParams, rng: Rng
+):
     bob = alice = None
     if args.mode in ("inproc", "listen"):
         bob = BobP2(params, variant, nonce=args.R)
@@ -253,12 +269,13 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     variant = variants.get(args.variant or next(iter(variants)))
     if variant is None:
         raise ValueError(f"unknown {args.protocol} variant {args.variant!r}")
+    keys = _exchange_keys(args)
     samples = (args.mode != "connect" and args.R is None) or (
         args.mode != "listen" and (args.S is None or args.K is None)
     )
     base_rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
     build = _exchange_roles_p1 if args.protocol == "p1" else _exchange_roles_p2
-    bob, alice = build(args, variant, base_rng.derive(2))
+    bob, alice = build(args, variant, keys, base_rng.derive(2))
     if args.mode == "inproc":
         bob_outcome, _ = run_pair(bob, alice, base_rng.derive(1))
         _print_outcome(bob_outcome)
@@ -274,14 +291,16 @@ def cmd_trope(args: argparse.Namespace) -> int:
     _require_port(args)
     if args.mode != "listen":
         _require_manifest_fits(args.manifest, args.hash_id)
+    params, secret = (
+        (_rsa_public(args), None) if args.mode == "connect" else _rsa_private(args)
+    )
+    if args.mode != "listen" and args.S is None:
+        raise ValueError("--S is required for a trope session")
     samples = (args.mode != "connect" and args.R is None) or (
         args.mode != "listen" and args.K is None
     )
     rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
     if args.mode == "inproc":
-        params, secret = _rsa_private(args)
-        if args.S is None:
-            raise ValueError("--S is required for a trope session")
         outcome = run_trope_session(
             params,
             secret,
@@ -293,7 +312,6 @@ def cmd_trope(args: argparse.Namespace) -> int:
             letter_key=args.K,
         )
     elif args.mode == "listen":
-        params, secret = _rsa_private(args)
         outcome = run_trope_bob(
             params,
             secret,
@@ -303,9 +321,6 @@ def cmd_trope(args: argparse.Namespace) -> int:
             hash_alg=args.hash_id,
         )
     else:
-        params = _rsa_public(args)
-        if args.S is None:
-            raise ValueError("--S is required for a trope session")
         transport = tcp_connect(args.host, args.port)
         outcome = run_trope_alice(
             params,
@@ -343,11 +358,15 @@ def cmd_qkd(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="piggybank",
-        description="Piggy-bank key transport protocols and a BB84 reconciliation study.",
+        description=(
+            "Piggy-bank key transport protocols and a BB84 reconciliation study."
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    keygen = sub.add_parser("keygen", help="generate RSA-style or safe-prime parameters")
+    keygen = sub.add_parser(
+        "keygen", help="generate RSA-style or safe-prime parameters"
+    )
     keygen.add_argument("kind", choices=("rsa", "dh"))
     keygen.add_argument("--bits", type=int, required=True)
     keygen.add_argument("--e", type=int, default=3, help="public exponent (rsa only)")

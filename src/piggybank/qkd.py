@@ -10,8 +10,9 @@ Two post-processing strategies are compared on identical channels:
     key and throw the round away on mismatch, repeating until a round
     survives.
 
-Everything is driven by a seeded Rng, so a scenario plus a seed
-reproduces byte-identical reports.
+Both arms decode their rounds from raw PCG64 words, as generate_round,
+channel_transmit and sift would make them. Everything is driven by a
+seeded Rng, so a scenario plus a seed reproduces byte-identical reports.
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ def estimate_qber(
     if n == 0:
         raise ValueError("nothing to sample")
     m = math.ceil(sample_frac * n)
-    perm = rng.np.permutation(n)
-    sample = np.sort(perm[:m])
-    rest = np.sort(perm[m:])
+    sampled = np.zeros(n, dtype=bool)
+    sampled[rng.np.permutation(n)[:m]] = True
+    sample, rest = np.flatnonzero(sampled), np.flatnonzero(~sampled)
     estimate = float(
         np.count_nonzero(pair.alice_key[sample] != pair.bob_key[sample]) / m
     )
@@ -235,13 +236,6 @@ class DigestRun:
     pulses: int
 
 
-def _sifted_round(n_pulses: int, model: ChannelModel, rng: Rng) -> SiftedPair:
-    """One round: send, transmit, sift. The three steps are module globals,
-    looked up per call, so wrappers installed on this module see them."""
-    train, bob_bases = generate_round(n_pulses, rng)
-    return sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
-
-
 # Raw words drawn per block of digest rounds (256 KiB); a block always
 # holds at least one round, however long.
 _BLOCK_WORDS = 1 << 15
@@ -283,15 +277,15 @@ def _round_layout(
 
 def _sifted_rounds(
     words: np.ndarray, carry: int | None, n_pulses: int, model: ChannelModel
-) -> tuple[np.ndarray, np.ndarray, list[int], list]:
+) -> tuple[np.ndarray, np.ndarray, list[int], list, np.ndarray]:
     """Both sifted keys of each round whose raw words are a row of
     `words`, as generate_round, channel_transmit and sift would make
     them from that stream.
 
     Returns every round's keys end to end, Alice's and Bob's, with the
-    index where each round's keys end, and per round the 32-bit half-word
-    buffered after it (None if none); `carry` is the one buffered before
-    the first round.
+    index where each round's keys end, per round the 32-bit half-word
+    buffered after it (None if none), and the basis-match mask of every
+    pulse end to end; `carry` is the one buffered before the first round.
 
     Decoding, as numpy's PCG64 Generator draws: a 32-bit draw returns the
     buffered half-word if there is one, else the low half of the next raw
@@ -335,6 +329,7 @@ def _sifted_rounds(
         np.compress(kept, bob_bits.ravel()),
         ends,
         carries,
+        kept,
     )
 
 
@@ -366,7 +361,7 @@ def run_digest_protocol(
     while done < max_rounds:
         count = min(block, max_rounds - done, max(1, _BLOCK_WORDS // per_round))
         words, carry, mark = rng.draw_raw(count * per_round)
-        alice_keys, bob_keys, ends, carries = _sifted_rounds(
+        alice_keys, bob_keys, ends, carries, _ = _sifted_rounds(
             words, carry, n_pulses, model
         )
         start = 0
@@ -530,9 +525,12 @@ class StrategyReport:
 
 def _cascade_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
     model = ChannelModel(scenario.p_noise, scenario.eve_fraction)
-    rounds = 0
+    per_round, rounds = _round_layout(scenario.pulses, model, False)[0], 0
     while True:
-        pair = _sifted_round(scenario.pulses, model, rng)
+        words, carry, mark = rng.draw_raw(per_round)
+        *keys, _, carries, kept = _sifted_rounds(words, carry, scenario.pulses, model)
+        rng.seek_raw(mark, per_round, carries[0])
+        pair = SiftedPair(*keys, np.flatnonzero(kept))
         rounds += 1
         # The sample is sacrificed, so the round must leave a remainder.
         if len(pair) >= 2 and math.ceil(scenario.sample_frac * len(pair)) < len(pair):

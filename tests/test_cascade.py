@@ -356,14 +356,18 @@ class TestGoldenOutputs:
         assert _fingerprint(result) == ("8b727a7527106b15", 91, True)
 
 
-def _reference_reconcile(alice, bob, config):
+def _reference_reconcile(alice, bob, config, seen=None):
     """Cascade settled one block at a time, every pass through the heap:
     every odd block, each half a descent moves into included, goes on a heap
     ordered by (length, push order), and a flip re-parities the blocks that
-    hold its bit in the order they were registered."""
+    hold its bit in the order they were registered. If given, the set seen
+    collects the lazy-building cases the run reaches."""
     alice, bob = alice.tolist(), bob.tolist()
     n, heap, pushes, disclosed = len(alice), [], itertools.count(), 0
     holders = [[] for _ in range(n)]  # per bit, the blocks holding it
+    seen = set() if seen is None else seen
+    untouched = {}  # id of an even top-level block no flip has reached -> pass
+    idle = False  # whether a pass so far began with no odd top-level block
 
     def register(idx):
         block = [idx, sum(alice[i] for i in idx) & 1, sum(bob[i] for i in idx) & 1]
@@ -379,6 +383,8 @@ def _reference_reconcile(alice, bob, config):
         assert bob[i] != alice[i], "the reference flipped a correct bit"
         bob[i] ^= 1
         for block in holders[i]:
+            if untouched.pop(id(block), p) < p:  # any other block reads as pass p
+                seen.add("a flip reaches an earlier pass's untouched top block")
             block[2] ^= 1
             push_if_odd(block)
 
@@ -386,9 +392,18 @@ def _reference_reconcile(alice, bob, config):
     for p in range(config.passes):
         size = min(n, k1 << p)
         order = rng.derive(p + 1).np.permutation(n).tolist() if p else list(range(n))
+        odd = False
         for start in range(0, n, size):
-            push_if_odd(register(order[start : start + size]))
+            block = register(order[start : start + size])
+            if block[1] == block[2]:
+                untouched[id(block)] = p
+            else:
+                odd = True
+            push_if_odd(block)
             disclosed += 1
+        if odd and idle:
+            seen.add("a pass with no odd top block, then one with")
+        idle |= not odd
         while heap:
             block = heapq.heappop(heap)[2]
             while block[1] != block[2] and len(block[0]) > 1:
@@ -415,8 +430,23 @@ def _oracle_cases():
         yield alice, bob, CascadeConfig(case % 6 + 1, hint, g.getrandbits(64))
 
 
+def _small_dense_cases():
+    # Short keys with many errors: a pass whose blocks each hold an even
+    # number of errors, followed by one with an odd block, is common here and
+    # rare in the cases above.
+    g = Rng(7)
+    for _ in range(120):
+        n = int(g.np.integers(8, 40))
+        rate = float(g.np.uniform(0.05, 0.3))
+        alice = g.np.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (g.np.random(n) < rate).astype(np.uint8)
+        passes = int(g.np.integers(3, 7))
+        yield alice, bob, CascadeConfig(passes, rate, g.getrandbits(64))
+
+
 class TestAgainstReference:
     CASES = list(_oracle_cases())
+    SMALL_DENSE = list(_small_dense_cases())
 
     def test_matches_one_by_one_reference(self):
         for alice, bob, config in self.CASES:
@@ -436,3 +466,18 @@ class TestAgainstReference:
             seen["a pass's block size capped at n"] += k1 << config.passes - 1 > n
             seen[f"{config.passes} passes"] += 1
         assert len(seen) == 9 and min(seen.values()) >= 5, seen
+
+    def test_small_dense_cases_match_reference(self):
+        for alice, bob, config in self.SMALL_DENSE:
+            result = cascade_reconcile(make_pair(alice, bob), config)
+            key, disclosed, success = _reference_reconcile(alice, bob, config)
+            assert np.array_equal(result.corrected_bob_key, key), config
+            assert (result.parities_disclosed, result.success) == (disclosed, success)
+
+    def test_cases_reach_the_lazy_building_edges(self):
+        seen = collections.Counter()
+        for alice, bob, config in self.CASES + self.SMALL_DENSE:
+            reached = set()
+            _reference_reconcile(alice, bob, config, reached)
+            seen.update(reached)
+        assert len(seen) == 2 and min(seen.values()) >= 5, seen

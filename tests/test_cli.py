@@ -291,6 +291,31 @@ class TestKeyFiles:
         err = capsys.readouterr().err
         assert str(path) in err and "'e'" in err
 
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            ("trope --secret-file {bad} --S 5 --manifest hi", "{bad}"),
+            ("trope --n 3233 --e 17 --d 2753 --manifest hi", "--S is required"),
+            ("trope --mode connect --port 9 --public-file {bad} --S 5", "{bad}"),
+            ("trope --mode connect --port 9 --n 3233 --e 17", "--S is required"),
+            ("exchange p1 --secret-file {bad}", "{bad}"),
+            ("exchange p1 --mode listen --port 9 --secret-file {bad}", "{bad}"),
+            ("exchange p1 --mode connect --port 9 --public-file {bad}", "{bad}"),
+            ("exchange p2 --p 37", "--p and --g"),
+        ],
+    )
+    def test_usage_error_draws_no_seed(
+        self, capsys, monkeypatch, tmp_path, argv, fragment
+    ):
+        # No --seed and no PIGGYBANK_SEED: the key files and flags are checked
+        # before any entropy is drawn or a seed note printed.
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100_000)
+        monkeypatch.setattr(os, "urandom", lambda n: pytest.fail("entropy drawn"))
+        assert main(argv.format(bad=bad).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment.format(bad=bad) in err
+
     def test_complete_secret_file_opens_box(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps(self.SECRET))

@@ -7,6 +7,7 @@ long-run numbers live in the acceptance suite.
 import csv
 import hashlib
 import io
+import itertools
 import math
 
 import numpy as np
@@ -664,6 +665,74 @@ class TestDigestGolden:
         )
         for key in (run.alice_key, run.bob_key):
             assert key.base is None and key.flags.owndata
+
+
+def _per_call_cascade_trial(scenario, trial, rng):
+    """The cascade arm as it ran before it decoded raw words: one
+    generate_round, channel_transmit and sift per attempt, and a sample
+    chosen by sorting the split of a permutation."""
+    model = ChannelModel(scenario.p_noise, scenario.eve_fraction)
+    rounds = 0
+    while True:
+        train, bob_bases = generate_round(scenario.pulses, rng)
+        pair = sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
+        rounds += 1
+        if len(pair) >= 2 and math.ceil(scenario.sample_frac * len(pair)) < len(pair):
+            break
+    n = len(pair)
+    m = math.ceil(scenario.sample_frac * n)
+    perm = rng.np.permutation(n)
+    sample, rest = np.sort(perm[:m]), np.sort(perm[m:])
+    estimate = np.count_nonzero(pair.alice_key[sample] != pair.bob_key[sample]) / m
+    remainder = qkd.SiftedPair(
+        pair.alice_key[rest], pair.bob_key[rest], pair.kept_indices[rest]
+    )
+    config = qkd.CascadeConfig(
+        scenario.passes, min(float(estimate), 0.5), rng.getrandbits(64)
+    )
+    result = qkd.cascade_reconcile(remainder, config)
+    return qkd.TrialRecord(
+        "cascade",
+        trial,
+        rounds,
+        result.parities_disclosed,
+        rounds * scenario.pulses,
+        len(remainder),
+        int(np.count_nonzero(result.corrected_bob_key != remainder.alice_key)),
+        result.success,
+    )
+
+
+class TestCascadeArm:
+    @pytest.mark.parametrize("pulses", [2, 3, 5, 9, 64, 1024])
+    @pytest.mark.parametrize("sample_frac", [0.1, 0.5])
+    def test_matches_per_call_arm(self, pulses, sample_frac):
+        # Each channel with and without a half-word buffered before the
+        # trial; the records and every later draw must agree.
+        for eve, noise, predraw in itertools.product((0, 0.5), (0, 0.05), (0, 1)):
+            scenario = Scenario(
+                pulses=pulses, p_noise=noise, eve_fraction=eve, sample_frac=sample_frac
+            )
+            outcomes = []
+            for arm in (qkd._cascade_trial, _per_call_cascade_trial):
+                rng = Rng(pulses * 100 + predraw)
+                rng.np.integers(0, 2, predraw, dtype=np.uint8)
+                record = arm(scenario, 3, rng)
+                tail = rng.np.integers(0, 2, 7, dtype=np.uint8).tolist()
+                raw = rng.np.bit_generator.random_raw(3).tolist()
+                outcomes.append((record, tail, raw))
+            assert outcomes[0] == outcomes[1], (eve, noise, predraw)
+
+    @pytest.mark.parametrize("pulses", [5, 64, 1031])
+    def test_mask_gives_sifts_kept_indices(self, pulses):
+        model = ChannelModel(0.05, 0.5)
+        per_round = qkd._round_layout(pulses, model, False)[0]
+        words, carry, _ = Rng(pulses).draw_raw(per_round)
+        kept = qkd._sifted_rounds(words, carry, pulses, model)[-1]
+        rng = Rng(pulses)
+        train, bob_bases = generate_round(pulses, rng)
+        pair = sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
+        assert np.flatnonzero(kept).tolist() == pair.kept_indices.tolist()
 
 
 SCENARIO_TEXT = """\
