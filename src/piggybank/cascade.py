@@ -13,18 +13,22 @@ so one repair can cascade back and forth across passes until no registered
 block is odd.
 
 Every block is an interval of its pass's order (a bisection half, of its
-parent), kept as the plain list [pass_no, start, length, alice_par,
-bob_par, serial]. Each pass holds Alice's prefix parities along its order
-as bytes and Bob's bits in that order as a bytearray that every flip
-updates, so a half's parity is one prefix XOR for Alice and one
-bytearray.count for Bob, with no numpy call per bisection level. A flip
-finds the blocks holding its bit from the bit's position in each pass, so
-the Python-level bookkeeping costs per block and per flip, never per bit.
+parent), named by its registration serial, a plain int: its start, its
+length and whether Bob's parity differs from Alice's live in flat lists
+indexed by that serial. A reconcile registers some 10,000 blocks; as
+lists of ints rather than a small list each, they give Python's cyclic
+garbage collector nothing to track, so it seldom runs inside a reconcile.
+Each pass holds Alice's prefix parities along its order as bytes and Bob's
+bits in that order as a bytearray that every flip updates, so a half's
+parity is one prefix XOR for Alice and one bytearray.count for Bob, with
+no numpy call per bisection level. A flip finds the blocks holding its
+bit from the bit's position in each pass, so the Python-level bookkeeping
+costs per block and per flip, never per bit.
 
-No block is built before a flip can reach it. A top-level block, its
-serial reserved, is built when it is odd as its pass begins or a flip
-first lands in it; until then it is even. Once the keys agree, no later
-pass is even shuffled.
+A pass registers its top-level blocks as it begins, their parities from
+one numpy reduction. The serials each top-level block holds are listed
+only when it is odd as its pass begins or a flip first lands in it. Once
+the keys agree, no later pass is even shuffled.
 
 Alice's key doubles as ground truth in this simulator, so every flip is
 audited: a flip that would corrupt a correct bit raises
@@ -39,7 +43,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import count
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -83,7 +86,6 @@ def initial_block_size(qber_hint: float, length: int) -> int:
     return max(1, round(0.73 / max(qber_hint, 1.0 / length)))
 
 
-_START, _LENGTH, _ALICE, _BOB, _SERIAL = range(1, 6)
 _CORRUPT = "flip at index {} would corrupt a correct bit"
 
 
@@ -100,57 +102,58 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     alice = alice.astype(np.uint8)
     alice_bits, bob = alice.tobytes(), bytearray(bob_key.astype(np.uint8))
 
-    disclosed = 0
-    heap: list[tuple[int, int, list[int]]] = []
-    seq, serials = count(), count()
-    # Per pass: order, bit -> position, block size, the blocks registered in
+    disclosed, seq = 0, count()
+    # Heap entries are (length, seq, serial, pass_no); (length, seq) is unique.
+    heap: list[tuple[int, int, int, int]] = []
+    # By serial: a block's start and length in its pass's order, and whether
+    # Alice's and Bob's parities of it differ (1) or not (0). The nested
+    # functions that register blocks unpack these as locals, where += appends.
+    fields = starts, lengths, is_odd = [], [], []
+    # Per pass: order, bit -> position, block size, the serials registered in
     # each top-level block that has any (top first), Alice's prefix parities,
     # Bob's bits in order, and the serial of its first top-level block.
     passes: list[tuple] = []
-
-    def top(pass_no: int, t: int, odd: int) -> list[list[int]]:
-        # Registers top-level block t, whose parities differ by odd.
-        _, _, size, tops, prefix, _, base = passes[pass_no]
-        start, end = t * size, min(n, (t + 1) * size)
-        a = prefix[end] ^ prefix[start]
-        tops[t] = [[pass_no, start, end - start, a, a ^ odd, base + t]]
-        return tops[t]
 
     def flip(i: int) -> None:
         if bob[i] == alice_bits[i]:
             raise CascadeAuditError(_CORRUPT.format(i))
         bob[i] ^= 1
-        holders: list[list[int]] = []
-        for pass_no, (_, pos_of, size, tops, _, bob_seq, _) in enumerate(passes):
+        holders: list[tuple[int, int]] = []
+        for pass_no, (_, pos_of, size, tops, _, bob_seq, base) in enumerate(passes):
             p = int(pos_of[i])
             bob_seq[p] ^= 1
-            into = tops.get(p // size) or top(pass_no, p // size, 0)
-            holders += [b for b in into if 0 <= p - b[_START] < b[_LENGTH]]
+            t = p // size
+            into = tops.get(t) or tops.setdefault(t, [base + t])
+            holders += [(s, pass_no) for s in into if 0 <= p - starts[s] < lengths[s]]
         # Registration order, the order the heap's tie-breaks are pinned to.
-        for block in sorted(holders, key=itemgetter(_SERIAL)):
-            block[_BOB] ^= 1
-            if block[_ALICE] != block[_BOB]:
-                heapq.heappush(heap, (block[_LENGTH], next(seq), block))
+        for s, pass_no in sorted(holders):
+            is_odd[s] ^= 1
+            if is_odd[s]:
+                heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
 
-    def bisect_to_error(block: list[int]) -> None:
+    def bisect_to_error(s: int, pass_no: int) -> None:
         nonlocal disclosed
-        pass_no, start, length, alice_par, bob_par, _ = block
+        starts, lengths, is_odd = fields
+        start, length = starts[s], lengths[s]
         order, _, size, tops, prefix, bob_seq, _ = passes[pass_no]
-        into = tops[start // size]
+        into, s = tops[start // size], len(starts)
         while length > 1:
             mid = (length + 1) // 2
             disclosed += 1  # Alice announces the first half's parity
             a = prefix[start + mid] ^ prefix[start]
-            b = bob_seq.count(1, start, start + mid) & 1
-            first = [pass_no, start, mid, a, b, next(serials)]
-            a, b = alice_par ^ a, bob_par ^ b  # the second half's come free
-            second = [pass_no, start + mid, length - mid, a, b, next(serials)]
-            into += first, second
+            odd = bob_seq.count(1, start, start + mid) & 1 ^ a
+            into += s, s + 1
+            s += 2
+            starts += start, start + mid
+            lengths += mid, length - mid
+            is_odd += odd, odd ^ 1  # the second half's comes free
             # The block is odd, so exactly one half is. It gets no heap entry: it is
             # tiled by the leaf flipped below and by shorter siblings, which are all
             # even before an entry for it could pop, so that pop would find it even.
-            block = second if a != b else first
-            _, start, length, alice_par, bob_par, _ = block
+            if odd:
+                length = mid
+            else:
+                start, length = start + mid, length - mid
         flip(int(order[start]))
 
     def settle_first_pass(odd: np.ndarray, errors: np.ndarray) -> None:
@@ -159,17 +162,19 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
         # each bisected into halves that end even. A first half is the odd one
         # when diff, the running parity of Bob's errors, differs across it.
         nonlocal disclosed
-        _, _, size, _, prefix, bob_seq, _ = passes[0]
+        starts, lengths, is_odd = fields
+        _, _, size, tops, _, bob_seq, _ = passes[0]  # its serials start at 0
         diff = np.bitwise_xor.accumulate(np.append(np.uint8(0), errors)).tobytes()
-        for t in sorted(odd.tolist(), key=lambda t: min(size, n - t * size)):
-            into = top(0, t, 1)
-            _, start, length, *_ = into[0]
+        for t in sorted(odd.tolist(), key=lengths.__getitem__):
+            tops[t] = into = [t]
+            start, length, s = starts[t], lengths[t], len(starts)
             while length > 1:
                 mid = (length + 1) // 2
-                a = prefix[start + mid] ^ prefix[start]
-                e = prefix[start + length] ^ prefix[start + mid]
-                first = [0, start, mid, a, a, next(serials)]
-                into += first, [0, start + mid, length - mid, e, e, next(serials)]
+                into += s, s + 1
+                s += 2
+                starts += start, start + mid
+                lengths += mid, length - mid
+                is_odd += 0, 0
                 disclosed += 1
                 if diff[start + mid] == diff[start]:
                     start, length = start + mid, length - mid
@@ -178,24 +183,22 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             if bob[start] == alice_bits[start]:
                 raise CascadeAuditError(_CORRUPT.format(start))
             bob[start] = bob_seq[start] = alice_bits[start]
-            into[0][_BOB] ^= 1
+            is_odd[t] = 0
 
     def settle() -> None:
         # Smallest odd block first; entries of blocks since repaired are stale.
         while heap:
-            _, _, block = heapq.heappop(heap)
-            if block[_ALICE] != block[_BOB]:
-                bisect_to_error(block)
+            _, _, s, pass_no = heapq.heappop(heap)
+            if is_odd[s]:
+                bisect_to_error(s, pass_no)
 
     k1, rng = initial_block_size(config.qber_hint, n), Rng(config.shuffle_seed)
     for pass_no in range(config.passes):
         size = min(n, k1 << pass_no)
-        base, blocks = next(serials), -(-n // size)
-        serials = count(base + blocks)
-        disclosed += blocks
+        disclosed += -(-n // size)
         errors = alice ^ np.frombuffer(bob, np.uint8)
         if not errors.any():
-            continue
+            continue  # no flip can happen any more
         order = pos_of = range(n)
         alice_seq, along = alice, errors
         if pass_no:
@@ -205,11 +208,17 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             alice_seq, along = alice[order], errors[order]
         prefix = bytes(1) + np.bitwise_xor.accumulate(alice_seq).tobytes()
         bob_seq = bytearray(alice_seq ^ along)
-        passes.append((order, pos_of, size, {}, prefix, bob_seq, base))
-        odd = np.flatnonzero(np.bitwise_xor.reduceat(along, np.arange(0, n, size)))
+        base, cuts, tops = len(starts), np.arange(0, n, size), {}
+        passes.append((order, pos_of, size, tops, prefix, bob_seq, base))
+        top_odd = np.bitwise_xor.reduceat(along, cuts)
+        starts += range(0, n, size)
+        lengths += np.diff(cuts, append=n).tolist()
+        is_odd += top_odd.tolist()
+        odd = np.flatnonzero(top_odd)
         if pass_no:
-            for block in [top(pass_no, t, 1)[0] for t in odd.tolist()]:
-                heapq.heappush(heap, (block[_LENGTH], next(seq), block))
+            for s in (base + odd).tolist():
+                tops[s - base] = [s]
+                heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
         else:
             settle_first_pass(odd, errors)
         settle()

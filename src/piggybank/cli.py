@@ -19,9 +19,10 @@ from pathlib import Path
 
 from .errors import PiggyBankError
 from .numtheory import DhParams, Rng, RsaParams, RsaSecret, gen_dh, gen_rsa
+from .numtheory import check_rsa_consistent
 from .numtheory import _factorize, rand_residue
-from .protocol1 import AliceSecrets1, Recovered1, Variant1
-from .protocol2 import AliceSecrets2, Outcome2, Variant2
+from .protocol1 import AliceSecrets1, Recovered1, Variant1, check_nonce1, check_secrets1
+from .protocol2 import AliceSecrets2, Outcome2, Variant2, check_nonce2, check_secrets2
 from .qkd import Scenario, compare_strategies, parse_scenario, render_csv, render_table
 from .qkd import _SCENARIO_KEYS
 from .session import (
@@ -151,7 +152,9 @@ def _rsa_public(args: argparse.Namespace) -> RsaParams:
 
 def _rsa_private(args: argparse.Namespace) -> tuple[RsaParams, RsaSecret]:
     if args.secret_file:
-        return _key_fields(args.secret_file, RsaParams, RsaSecret)
+        params, secret = _key_fields(args.secret_file, RsaParams, RsaSecret)
+        check_rsa_consistent(params, secret)
+        return params, secret
     if args.n is None or args.e is None or args.d is None:
         raise ValueError("need --n, --e and --d, or --secret-file")
     params = RsaParams(args.n, args.e)
@@ -228,6 +231,24 @@ def _exchange_keys(args: argparse.Namespace) -> DhParams | tuple:
     return _rsa_private(args)
 
 
+def _check_forced(
+    args: argparse.Namespace, variant: Variant1 | Variant2, keys: DhParams | tuple
+) -> None:
+    """Refuse a forced --R, --S or --K that the session would refuse, with
+    its message, before a seed is drawn."""
+    bob, alice = args.mode != "connect", args.mode != "listen"
+    if isinstance(keys, DhParams):
+        if bob and args.R is not None:
+            check_nonce2(keys.p, args.R)
+        if alice:
+            check_secrets2(keys.p, variant, args.S, args.K)
+        return
+    if bob and args.R is not None:
+        check_nonce1(keys[0].n, variant, args.R)
+    if alice:
+        check_secrets1(keys[0].n, args.S, args.K)
+
+
 def _exchange_roles_p1(
     args: argparse.Namespace,
     variant: Variant1,
@@ -270,6 +291,7 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     if variant is None:
         raise ValueError(f"unknown {args.protocol} variant {args.variant!r}")
     keys = _exchange_keys(args)
+    _check_forced(args, variant, keys)
     samples = (args.mode != "connect" and args.R is None) or (
         args.mode != "listen" and (args.S is None or args.K is None)
     )
@@ -296,6 +318,7 @@ def cmd_trope(args: argparse.Namespace) -> int:
     )
     if args.mode != "listen" and args.S is None:
         raise ValueError("--S is required for a trope session")
+    _check_forced(args, Variant1.BASE, (params, secret))
     samples = (args.mode != "connect" and args.R is None) or (
         args.mode != "listen" and args.K is None
     )

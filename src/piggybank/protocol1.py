@@ -89,6 +89,25 @@ class Recovered1:
     key: int | None
 
 
+def check_nonce1(n: int, variant: Variant1, nonce: int) -> None:
+    """Raise ValueError unless a forced nonce suits the variant mod n."""
+    if not 1 <= nonce <= n - 1:
+        raise ValueError("nonce must lie in [1, n-1]")
+    if variant is Variant1.UNIT_R and nonce != 1:
+        raise ValueError("UNIT_R fixes the nonce at 1")
+    if variant in _UNIT_NONCE_VARIANTS and gcd(nonce, n) != 1:
+        raise ValueError("this variant needs a nonce coprime to n")
+
+
+def check_secrets1(n: int, secret: int | None, key: int | None) -> None:
+    """Raise ValueError unless Alice's secret and key lie in range mod n;
+    None skips a value that is still to be drawn."""
+    if secret is not None and not 1 <= secret <= n - 1:
+        raise ValueError("secret must lie in [1, n-1]")
+    if key is not None and not 0 <= key <= n - 1:
+        raise ValueError("key must lie in [0, n-1]")
+
+
 def p1_init(
     params: RsaParams,
     secret: RsaSecret,
@@ -113,12 +132,7 @@ def p1_init(
                 raise ValueError("sampling a nonce requires an rng")
             nonce = rand_residue(n, variant in _UNIT_NONCE_VARIANTS, rng)
     else:
-        if not 1 <= nonce <= n - 1:
-            raise ValueError("nonce must lie in [1, n-1]")
-        if variant is Variant1.UNIT_R and nonce != 1:
-            raise ValueError("UNIT_R fixes the nonce at 1")
-        if variant in _UNIT_NONCE_VARIANTS and gcd(nonce, n) != 1:
-            raise ValueError("this variant needs a nonce coprime to n")
+        check_nonce1(n, variant, nonce)
     if variant in (Variant1.BASE, Variant1.UNIT_R, Variant1.MULTIPLICATIVE):
         challenge = mod_exp(nonce, params.e, n)
     else:
@@ -145,10 +159,7 @@ def p1_deposit(
     if variant is Variant1.UNIT_R and challenge != 1:
         raise ValueError("UNIT_R exchanges carry challenge 1 only")
     s, k = secrets.secret, secrets.key
-    if not 1 <= s <= n - 1:
-        raise ValueError("secret must lie in [1, n-1]")
-    if not 0 <= k <= n - 1:
-        raise ValueError("key must lie in [0, n-1]")
+    check_secrets1(n, s, k)
     if variant is Variant1.BASE:
         return Response1((s * challenge + k) % n, mod_exp(s, e, n))
     if variant is Variant1.UNIT_R:

@@ -62,6 +62,28 @@ class Outcome2:
     shared: int
 
 
+def check_nonce2(p: int, nonce: int) -> None:
+    """Raise ValueError unless a forced nonce lies in [1, p-2]."""
+    if not 1 <= nonce <= p - 2:
+        raise ValueError("nonce must lie in [1, p-2]")
+
+
+def check_secrets2(
+    p: int, variant: Variant2, secret: int | None, key: int | None
+) -> None:
+    """Raise ValueError unless Alice's exponent and key suit the variant mod
+    p; None skips a value that is still to be drawn."""
+    if secret is not None and not 1 <= secret <= p - 2:
+        raise ValueError("secret exponent must lie in [1, p-2]")
+    if key is None:
+        return
+    if variant is Variant2.ADDITIVE:
+        if not 0 <= key <= p - 1:
+            raise ValueError("key must lie in [0, p-1]")
+    elif not 1 <= key <= p - 1:
+        raise ValueError("key must lie in [1, p-1] for the multiplicative form")
+
+
 def p2_init(
     params: DhParams,
     rng: Rng | None = None,
@@ -74,8 +96,8 @@ def p2_init(
         if rng is None:
             raise ValueError("sampling a nonce requires an rng")
         nonce = 1 + rng.randbelow(p - 2)
-    elif not 1 <= nonce <= p - 2:
-        raise ValueError("nonce must lie in [1, p-2]")
+    else:
+        check_nonce2(p, nonce)
     return BobState2(params, nonce, mod_exp(params.g, nonce, p))
 
 
@@ -90,13 +112,7 @@ def p2_deposit(
     if not 1 <= challenge <= p - 1:
         raise ValueError("challenge must lie in [1, p-1]")
     s, k = secrets.secret, secrets.key
-    if not 1 <= s <= p - 2:
-        raise ValueError("secret exponent must lie in [1, p-2]")
-    if variant is Variant2.ADDITIVE:
-        if not 0 <= k <= p - 1:
-            raise ValueError("key must lie in [0, p-1]")
-    elif not 1 <= k <= p - 1:
-        raise ValueError("key must lie in [1, p-1] for the multiplicative form")
+    check_secrets2(p, variant, s, k)
     t = mod_exp(challenge, s, p)
     letter = mod_exp(params.g, s, p)
     if variant is Variant2.ADDITIVE:

@@ -2,6 +2,7 @@
 the cross-pass backtracking that rescues error pairs."""
 
 import collections
+import gc
 import hashlib
 import heapq
 import itertools
@@ -481,3 +482,28 @@ class TestAgainstReference:
             _reference_reconcile(alice, bob, config, reached)
             seen.update(reached)
         assert len(seen) == 2 and min(seen.values()) >= 5, seen
+
+
+class TestGarbageCollection:
+    def test_reconcile_leaves_the_collector_idle(self):
+        # Blocks are serials in flat lists of ints, so a reconcile allocates few
+        # objects that the cyclic collector tracks. A small list for each of this
+        # key's 10,000-odd blocks would set off 14-16 collections here.
+        g = Rng(29_500)
+        alice = g.np.integers(0, 2, 29_500, dtype=np.uint8)
+        bob = alice ^ (g.np.random(29_500) < 0.03).astype(np.uint8)
+        config = CascadeConfig(passes=4, qber_hint=0.03, shuffle_seed=g.getrandbits(64))
+        pair, runs = make_pair(alice, bob), collections.Counter()
+
+        def count_run(phase, info):
+            if phase == "stop":
+                runs[info["generation"]] += 1
+
+        gc.collect()
+        gc.callbacks.append(count_run)
+        try:
+            result = cascade_reconcile(pair, config)
+        finally:
+            gc.callbacks.remove(count_run)
+        assert result.success
+        assert sum(runs.values()) <= 2 and runs[2] == 0, runs

@@ -324,6 +324,46 @@ class TestKeyFiles:
         assert capsys.readouterr().out.startswith("S=5\nK=29\n")
 
 
+class TestForcedValues:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("exchange p1 --n 51 --e 3 --d 11 --R 999", "nonce must lie in [1, n-1]"),
+            ("exchange p1 --n 51 --e 3 --d 11 --S 999", "secret must lie in [1, n-1]"),
+            ("exchange p1 --n 51 --e 3 --d 11 --K 51", "key must lie in [0, n-1]"),
+            ("exchange p1 --n 51 --e 3 --d 11 --variant unit-r --R 2", "fixes"),
+            (
+                "exchange p1 --n 51 --e 3 --d 11 --variant multiplicative --R 3",
+                "coprime to n",
+            ),
+            ("exchange p1 --mode connect --port 9 --n 51 --e 3 --S 0", "secret must"),
+            ("exchange p2 --p 37 --g 2 --R 99", "nonce must lie in [1, p-2]"),
+            ("exchange p2 --p 37 --g 2 --S 36", "secret exponent must lie"),
+            ("exchange p2 --p 37 --g 2 --K 37", "key must lie in [0, p-1]"),
+            ("exchange p2 --p 37 --g 2 --variant multiplicative --K 0", "[1, p-1]"),
+            ("trope --n 3233 --e 17 --d 2753 --S 99999 --manifest hi", "secret must"),
+            ("trope --n 3233 --e 17 --d 2753 --S 5 --K 3233", "key must lie"),
+            ("trope --n 3233 --e 17 --d 2753 --S 5 --R 0", "nonce must lie"),
+        ],
+    )
+    def test_out_of_range_draws_no_seed(self, capsys, monkeypatch, argv, message):
+        # No --seed and no PIGGYBANK_SEED: a forced value the session would
+        # refuse is refused, with the session's message, before any entropy.
+        monkeypatch.setattr(os, "urandom", lambda n: pytest.fail("entropy drawn"))
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+    def test_inconsistent_secret_file_draws_no_seed(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(dict(TestKeyFiles.SECRET, d=13)))
+        monkeypatch.setattr(os, "urandom", lambda n: pytest.fail("entropy drawn"))
+        assert main(f"exchange p1 --secret-file {path}".split()) == 2
+        assert capsys.readouterr().err == "error: e*d is not 1 mod phi\n"
+
+
 class TestTrope:
     ARGS = "trope --n 51 --e 3 --d 11 --R 13 --S 5 --K 29".split()
 
