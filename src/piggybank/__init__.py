@@ -96,7 +96,6 @@ from .qkd import (
     TrialRecord,
     channel_transmit,
     compare_strategies,
-    digest_verify,
     estimate_qber,
     generate_round,
     key_digest,

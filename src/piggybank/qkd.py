@@ -215,17 +215,19 @@ class DigestConfig:
 def key_digest(key: np.ndarray, config: DigestConfig) -> int:
     """Truncated hash of a bit-string key: hash(8-byte bit count || packed
     bits), keeping the most significant truncate_bits of the digest."""
-    digest = hashlib.new(config.hash_id)
-    digest.update(int(key.size).to_bytes(8, "big"))
-    digest.update(np.packbits(np.asarray(key, dtype=np.uint8)).tobytes())
+    packed = np.packbits(np.asarray(key, dtype=np.uint8)).tobytes()
+    return _digest(int(key.size), packed, hashlib.new(config.hash_id), config)
+
+
+def _digest(size: int, packed: bytes, fresh, config: DigestConfig) -> int:
+    """key_digest of the `size`-bit key whose packbits bytes are `packed`;
+    `fresh` is a hashlib object of config.hash_id that nothing has fed,
+    copied here so that one serves every row of a block."""
+    digest = fresh.copy()
+    digest.update(size.to_bytes(8, "big"))
+    digest.update(packed)
     value = int.from_bytes(digest.digest(), "big")
     return value >> (digest.digest_size * 8 - config.truncate_bits)
-
-
-def digest_verify(
-    alice_key: np.ndarray, bob_key: np.ndarray, config: DigestConfig
-) -> bool:
-    return key_digest(alice_key, config) == key_digest(bob_key, config)
 
 
 @dataclass(frozen=True)
@@ -284,8 +286,8 @@ def _sifted_rounds(
 
     Returns every round's keys end to end, Alice's and Bob's, with the
     index where each round's keys end, per round the 32-bit half-word
-    buffered after it (None if none), and the basis-match mask of every
-    pulse end to end; `carry` is the one buffered before the first round.
+    buffered after it (None if none), and the kept pulses' indices into
+    all rows end to end; `carry` is the one buffered before the first round.
 
     Decoding, as numpy's PCG64 Generator draws: a 32-bit draw returns the
     buffered half-word if there is one, else the low half of the next raw
@@ -321,16 +323,42 @@ def _sifted_rounds(
         (below[0], *outcomes[:2]) if eve else None,
         below[-1] if model.p_noise > 0.0 else None,
     )
-    kept = bases == bob_bases
-    ends = np.cumsum(np.count_nonzero(kept, axis=1)).tolist()
-    kept = kept.ravel()
-    return (
-        np.compress(kept, bits.ravel()),  # flat: far faster than bits[kept]
-        np.compress(kept, bob_bits.ravel()),
-        ends,
-        carries,
-        kept,
-    )
+    kept = np.flatnonzero(bases == bob_bases)
+    ends = np.searchsorted(kept, np.arange(1, len(rows) + 1) * n_pulses).tolist()
+    return bits.take(kept), bob_bits.take(kept), ends, carries, kept
+
+
+def _packed_rows(keys: np.ndarray, ends: list[int]) -> list[bytes]:
+    """np.packbits(keys[start:end]).tobytes() for each row of the flat
+    `keys` that ends at an index in `ends`, from one packbits call."""
+    top = -(-keys.size // 8) * 8
+    whole = int.from_bytes(np.packbits(keys).tobytes(), "big")
+    rows, start = [], 0
+    for end in ends:  # key bit i is bit top - 1 - i of whole
+        size = end - start
+        nbytes = -(-size // 8)
+        row = (whole >> (top - end)) & ((1 << size) - 1)
+        rows.append((row << (nbytes * 8 - size)).to_bytes(nbytes, "big"))
+        start = end
+    return rows
+
+
+def _first_agreeing(
+    alice_keys: np.ndarray, bob_keys: np.ndarray, ends: list[int], config: DigestConfig
+) -> int | None:
+    """The first row, as in _packed_rows, whose two keys' key_digest
+    agree, or None if none does. Equal keys agree without hashing;
+    unequal ones are both hashed, as their truncated digests may collide."""
+    fresh = hashlib.new(config.hash_id)
+    start = 0
+    rows = zip(_packed_rows(alice_keys, ends), _packed_rows(bob_keys, ends), ends)
+    for row, (alice_row, bob_row, end) in enumerate(rows):
+        if alice_row == bob_row or _digest(
+            end - start, alice_row, fresh, config
+        ) == _digest(end - start, bob_row, fresh, config):
+            return row
+        start = end
+    return None
 
 
 def run_digest_protocol(
@@ -347,10 +375,11 @@ def run_digest_protocol(
 
     Rounds are drawn as raw words in blocks of 1, 2, 4, ... rounds (at
     most _BLOCK_WORDS words unless one round needs more) and decoded at
-    once. Every round is hashed in order up to the first that agrees, and
-    the stream is then put where the round-by-round loop of
-    generate_round, channel_transmit and sift would have left it, so
-    every result and every later draw is the same as that loop's.
+    once. Each side's keys are packed once per block, and the rounds are
+    checked in order up to the first that agrees (_first_agreeing). The
+    stream is then put where the round-by-round loop of generate_round,
+    channel_transmit and sift would have left it, so every result and
+    every later draw is the same as that loop's.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
@@ -364,16 +393,17 @@ def run_digest_protocol(
         alice_keys, bob_keys, ends, carries, _ = _sifted_rounds(
             words, carry, n_pulses, model
         )
-        start = 0
-        for row, end in enumerate(ends):
-            alice_key, bob_key = alice_keys[start:end], bob_keys[start:end]
-            if key_digest(alice_key, config) == key_digest(bob_key, config):
-                rng.seek_raw(mark, (row + 1) * per_round, carries[row])
-                rounds = done + row + 1
-                return DigestRun(
-                    alice_key.copy(), bob_key.copy(), rounds, rounds * n_pulses
-                )
-            start = end
+        row = _first_agreeing(alice_keys, bob_keys, ends, config)
+        if row is not None:
+            rng.seek_raw(mark, (row + 1) * per_round, carries[row])
+            start, end = ends[row - 1] if row else 0, ends[row]
+            rounds = done + row + 1
+            return DigestRun(
+                alice_keys[start:end].copy(),
+                bob_keys[start:end].copy(),
+                rounds,
+                rounds * n_pulses,
+            )
         rng.seek_raw(mark, count * per_round, carries[-1])
         done += count
         block *= 2
@@ -530,7 +560,7 @@ def _cascade_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
         words, carry, mark = rng.draw_raw(per_round)
         *keys, _, carries, kept = _sifted_rounds(words, carry, scenario.pulses, model)
         rng.seek_raw(mark, per_round, carries[0])
-        pair = SiftedPair(*keys, np.flatnonzero(kept))
+        pair = SiftedPair(*keys, kept)
         rounds += 1
         # The sample is sacrificed, so the round must leave a remainder.
         if len(pair) >= 2 and math.ceil(scenario.sample_frac * len(pair)) < len(pair):

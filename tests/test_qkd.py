@@ -23,7 +23,6 @@ from piggybank import (
     Scenario,
     channel_transmit,
     compare_strategies,
-    digest_verify,
     estimate_qber,
     generate_round,
     key_digest,
@@ -206,11 +205,44 @@ class TestKeyDigest:
         config = DigestConfig("sha256", 64)
         assert key_digest(one, config) != key_digest(two, config)
 
-    def test_digest_verify(self):
-        config = DigestConfig("sha256", 48)
-        key = Rng(23).np.integers(0, 2, 64, dtype=np.uint8)
-        assert digest_verify(key, key.copy(), config)
-        assert not digest_verify(key, key ^ 1, config)
+    @pytest.mark.parametrize("hash_id", ["sha256", "sha3_256", "blake2b"])
+    @pytest.mark.parametrize("truncate_bits", [32, 33, 256])
+    def test_block_rows_match_key_digest(self, hash_id, truncate_bits):
+        # Rows cut from one packed block, some empty and most not a whole
+        # number of bytes, hash as key_digest hashes each row alone, and
+        # _first_agreeing finds the row a key_digest loop finds.
+        config = DigestConfig(hash_id, truncate_bits)
+        fresh = hashlib.new(hash_id)
+        pick = np.random.default_rng(truncate_bits)
+        for _ in range(30):
+            sizes = [0, 0, 1, 7, 8, 9, 63, 65, 200, 513]
+            ends = np.cumsum(pick.choice(sizes, pick.integers(1, 9))).tolist()
+            alice = pick.integers(0, 2, ends[-1], dtype=np.uint8)
+            bob = alice ^ (pick.random(ends[-1]) < pick.choice([0.0, 0.002, 0.05]))
+            want, start = None, 0
+            rows = qkd._packed_rows(alice, ends)
+            for row, (end, packed) in enumerate(zip(ends, rows)):
+                assert packed == np.packbits(alice[start:end]).tobytes()
+                digest = key_digest(alice[start:end], config)
+                assert qkd._digest(end - start, packed, fresh, config) == digest
+                if want is None and digest == key_digest(bob[start:end], config):
+                    want = row
+                start = end
+            assert qkd._first_agreeing(alice, bob, ends, config) == want
+
+    def test_colliding_digests_accept_unequal_keys(self):
+        # Two 61-bit keys whose sha256 digests share their top 32 bits but
+        # not their 33rd, found by a birthday search, after a row of
+        # unequal keys whose digests differ.
+        alice, bob = (
+            np.array([(x >> (60 - i)) & 1 for i in range(61)], dtype=np.uint8)
+            for x in (0x1DBDD21AD90F7F1B, 0x1EA1046DDA809BCD)
+        )
+        first = np.zeros(10, dtype=np.uint8)
+        alice, bob = np.concatenate([first, alice]), np.concatenate([first ^ 1, bob])
+        ends = [10, 71]
+        assert qkd._first_agreeing(alice, bob, ends, DigestConfig("sha256", 32)) == 1
+        assert qkd._first_agreeing(alice, bob, ends, DigestConfig("sha256", 33)) is None
 
     def test_truncation_keeps_top_bits(self):
         key = Rng(24).np.integers(0, 2, 64, dtype=np.uint8)
@@ -612,6 +644,43 @@ _DIGEST_GOLDEN = {
 }
 
 
+def _blocked_and_reference(seed, config):
+    """run_digest_protocol and the round-by-round loop of generate_round,
+    channel_transmit, sift and key_digest on one seeded random scenario:
+    each one's outcome and the stream after it."""
+    pick = np.random.default_rng(seed)
+    pulses = int(pick.choice([2, 5, 8, 13, 100, 257, 258, pick.integers(1, 700)]))
+    model = ChannelModel(
+        float(pick.choice([0.0, 0.002, 0.01, 0.05, 1.0])),
+        float(pick.choice([0.0, 0.0, 0.01, 0.5, 1.0])),
+    )
+    max_rounds = int(pick.choice([1, 3, 40, 90]))
+    predraw = int(pick.integers(0, 3))  # 1 or 2 leave a half-word buffered
+    outcomes = []
+    for blocked in (True, False):
+        rng = Rng(seed)
+        rng.np.integers(0, 2, predraw, dtype=np.uint8)
+        if blocked:
+            try:
+                run = run_digest_protocol(pulses, model, config, max_rounds, rng)
+                got = (run.rounds, run.alice_key.tolist(), run.bob_key.tolist())
+            except NoKeyError as exc:
+                got = (exc.rounds, exc.pulses)
+        else:
+            got = (max_rounds, max_rounds * pulses)
+            for round_no in range(1, max_rounds + 1):
+                train, bob_bases = generate_round(pulses, rng)
+                bob_bits = channel_transmit(train, bob_bases, model, rng)
+                pair = sift(train, bob_bases, bob_bits)
+                alice_digest = key_digest(pair.alice_key, config)
+                if alice_digest == key_digest(pair.bob_key, config):
+                    got = (round_no, pair.alice_key.tolist(), pair.bob_key.tolist())
+                    break
+        tail = rng.np.integers(0, 2, 7, dtype=np.uint8).tolist()
+        outcomes.append((got, tail, rng.np.bit_generator.random_raw(3).tolist()))
+    return outcomes
+
+
 class TestDigestGolden:
     @pytest.mark.parametrize("case", sorted(_DIGEST_GOLDEN))
     def test_grid_pinned(self, case):
@@ -626,37 +695,16 @@ class TestDigestGolden:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_round_by_round_reference(self, seed):
-        pick = np.random.default_rng(seed)
-        pulses = int(pick.choice([2, 5, 8, 13, 100, 257, 258, pick.integers(1, 700)]))
-        model = ChannelModel(
-            float(pick.choice([0.0, 0.002, 0.01, 0.05, 1.0])),
-            float(pick.choice([0.0, 0.0, 0.01, 0.5, 1.0])),
-        )
-        max_rounds = int(pick.choice([1, 3, 40, 90]))
-        config = DigestConfig("sha256", 64)
-        predraw = int(pick.integers(0, 3))  # 1 or 2 leave a half-word buffered
-        outcomes = []
-        for blocked in (True, False):
-            rng = Rng(seed)
-            rng.np.integers(0, 2, predraw, dtype=np.uint8)
-            if blocked:
-                try:
-                    run = run_digest_protocol(pulses, model, config, max_rounds, rng)
-                    got = (run.rounds, run.alice_key.tolist(), run.bob_key.tolist())
-                except NoKeyError as exc:
-                    got = (exc.rounds, exc.pulses)
-            else:
-                got = (max_rounds, max_rounds * pulses)
-                for round_no in range(1, max_rounds + 1):
-                    train, bob_bases = generate_round(pulses, rng)
-                    bob_bits = channel_transmit(train, bob_bases, model, rng)
-                    pair = sift(train, bob_bases, bob_bits)
-                    if digest_verify(pair.alice_key, pair.bob_key, config):
-                        got = (round_no, pair.alice_key.tolist(), pair.bob_key.tolist())
-                        break
-            tail = rng.np.integers(0, 2, 7, dtype=np.uint8).tolist()
-            outcomes.append((got, tail, rng.np.bit_generator.random_raw(3).tolist()))
-        assert outcomes[0] == outcomes[1]
+        blocked, reference = _blocked_and_reference(seed, DigestConfig("sha256", 64))
+        assert blocked == reference
+
+    @pytest.mark.parametrize("hash_id", ["sha256", "sha3_256", "blake2b"])
+    @pytest.mark.parametrize("truncate_bits", [32, 33, 256])
+    def test_reference_across_digest_settings(self, hash_id, truncate_bits):
+        config = DigestConfig(hash_id, truncate_bits)
+        for seed in range(40, 52):
+            blocked, reference = _blocked_and_reference(seed, config)
+            assert blocked == reference, seed
 
     def test_keys_own_their_data(self):
         run = run_digest_protocol(
@@ -732,7 +780,7 @@ class TestCascadeArm:
         rng = Rng(pulses)
         train, bob_bases = generate_round(pulses, rng)
         pair = sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
-        assert np.flatnonzero(kept).tolist() == pair.kept_indices.tolist()
+        assert kept.tolist() == pair.kept_indices.tolist()
 
 
 SCENARIO_TEXT = """\
