@@ -219,11 +219,10 @@ def key_digest(key: np.ndarray, config: DigestConfig) -> int:
     return _digest(int(key.size), packed, hashlib.new(config.hash_id), config)
 
 
-def _digest(size: int, packed: bytes, fresh, config: DigestConfig) -> int:
+def _digest(size: int, packed: bytes, digest, config: DigestConfig) -> int:
     """key_digest of the `size`-bit key whose packbits bytes are `packed`;
-    `fresh` is a hashlib object of config.hash_id that nothing has fed,
-    copied here so that one serves every row of a block."""
-    digest = fresh.copy()
+    `digest` is a hashlib object of config.hash_id that nothing has fed
+    yet, and this call feeds it."""
     digest.update(size.to_bytes(8, "big"))
     digest.update(packed)
     value = int.from_bytes(digest.digest(), "big")
@@ -347,15 +346,15 @@ def _first_agreeing(
     alice_keys: np.ndarray, bob_keys: np.ndarray, ends: list[int], config: DigestConfig
 ) -> int | None:
     """The first row, as in _packed_rows, whose two keys' key_digest
-    agree, or None if none does. Equal keys agree without hashing;
-    unequal ones are both hashed, as their truncated digests may collide."""
+    agree, or None if none does. Each row's keys are hashed from copies
+    of one hash object."""
     fresh = hashlib.new(config.hash_id)
     start = 0
     rows = zip(_packed_rows(alice_keys, ends), _packed_rows(bob_keys, ends), ends)
     for row, (alice_row, bob_row, end) in enumerate(rows):
-        if alice_row == bob_row or _digest(
-            end - start, alice_row, fresh, config
-        ) == _digest(end - start, bob_row, fresh, config):
+        size = end - start
+        alice = _digest(size, alice_row, fresh.copy(), config)
+        if alice == _digest(size, bob_row, fresh.copy(), config):
             return row
         start = end
     return None

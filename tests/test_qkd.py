@@ -212,7 +212,6 @@ class TestKeyDigest:
         # number of bytes, hash as key_digest hashes each row alone, and
         # _first_agreeing finds the row a key_digest loop finds.
         config = DigestConfig(hash_id, truncate_bits)
-        fresh = hashlib.new(hash_id)
         pick = np.random.default_rng(truncate_bits)
         for _ in range(30):
             sizes = [0, 0, 1, 7, 8, 9, 63, 65, 200, 513]
@@ -224,6 +223,7 @@ class TestKeyDigest:
             for row, (end, packed) in enumerate(zip(ends, rows)):
                 assert packed == np.packbits(alice[start:end]).tobytes()
                 digest = key_digest(alice[start:end], config)
+                fresh = hashlib.new(hash_id)
                 assert qkd._digest(end - start, packed, fresh, config) == digest
                 if want is None and digest == key_digest(bob[start:end], config):
                     want = row
