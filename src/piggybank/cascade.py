@@ -7,32 +7,30 @@ other half's parity comes free). Later passes reshuffle the bits with a
 doubled block size, and every block whose parity was ever announced or
 inferred stays registered: when a flip lands inside an earlier block,
 that block's parity flips too, re-exposing any second error it was
-masking. Pass 0's odd blocks are disjoint, so they are bisected in one
-batch that skips the heap; from pass 1 on, work goes smallest-block-first,
-so one repair can cascade back and forth across passes until no registered
-block is odd.
+masking. From pass 1 on, odd blocks go smallest first through a heap, so
+one repair can cascade across passes until no registered block is odd.
 
-Every block is an interval of its pass's order (a bisection half, of its
-parent), named by its registration serial, a plain int: its start, its
-length and whether Bob's parity differs from Alice's live in flat lists
-indexed by that serial. A reconcile registers some 10,000 blocks; as
-lists of ints rather than a small list each, they give Python's cyclic
-garbage collector nothing to track, so it seldom runs inside a reconcile.
-Each pass holds Alice's prefix parities along its order as bytes and Bob's
-bits in that order as a bytearray that every flip updates, so a half's
-parity is one prefix XOR for Alice and one bytearray.count for Bob, with
-no numpy call per bisection level. A flip finds the blocks holding its
-bit from the bit's position in each pass, so the Python-level bookkeeping
-costs per block and per flip, never per bit.
+Alice's key doubles as ground truth in this simulator, so the only state
+is which of Bob's bits are wrong: one bytearray by bit, and one per pass
+in its order. A block's parities differ when it holds an odd number of
+wrong bits, one bytearray.count per bisection level. Every flip is
+audited: flipping a bit that is not wrong raises CascadeAuditError.
 
-A pass registers its top-level blocks as it begins, their parities from
-one numpy reduction. The serials each top-level block holds are listed
-only when it is odd as its pass begins or a flip first lands in it. Once
-the keys agree, no later pass is even shuffled.
+A block is an interval of its pass's order named by its registration
+serial, a plain int; its start, length and oddness live in flat lists
+indexed by that serial, which give Python's cyclic garbage collector
+nothing to track. A flip finds the blocks holding its bit from its
+position in each pass, so bookkeeping costs per block and per flip,
+never per bit. A pass registers its top-level blocks as it begins, their
+parities from one numpy reduction; the serials inside one are listed
+only when it is odd then or a flip first lands in it.
 
-Alice's key doubles as ground truth in this simulator, so every flip is
-audited: a flip that would corrupt a correct bit raises
-CascadeAuditError instead of silently diverging.
+Three shortcuts change no output. Pass 0's odd blocks are disjoint and a
+flip in one touches no other, so they are bisected in one batch, in the
+heap's order but without it. Once the keys agree, no later pass is
+shuffled. Once a pass's single block spans the key and settles, every
+registered block is even, so each later pass would announce one parity
+and flip nothing: those passes are charged without being run.
 
 Disclosure accounting charges exactly one bit per parity Alice
 announces; inferred parities are free.
@@ -100,28 +98,30 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     if not all(((key == 0) | (key == 1)).all() for key in (alice, bob_key)):
         raise ValueError("keys must hold only the bit values 0 and 1")
     alice = alice.astype(np.uint8)
-    alice_bits, bob = alice.tobytes(), bytearray(bob_key.astype(np.uint8))
+    # Bob's errors by bit; in pass 0's order, which is the key's, they are
+    # also that pass's errs, so clearing a pass's errs clears them.
+    wrong = bytearray(alice ^ bob_key.astype(np.uint8))
+    errors = np.frombuffer(wrong, np.uint8)
 
     disclosed, seq = 0, count()
     # Heap entries are (length, seq, serial, pass_no); (length, seq) is unique.
     heap: list[tuple[int, int, int, int]] = []
     # By serial: a block's start and length in its pass's order, and whether
-    # Alice's and Bob's parities of it differ (1) or not (0). The nested
+    # it holds an odd number of Bob's errors (1) or not (0). The nested
     # functions that register blocks unpack these as locals, where += appends.
     fields = starts, lengths, is_odd = [], [], []
     # Per pass: order, bit -> position, block size, the serials registered in
-    # each top-level block that has any (top first), Alice's prefix parities,
-    # Bob's bits in order, and the serial of its first top-level block.
+    # each top-level block that has any (top first), Bob's errors in order,
+    # and the serial of its first top-level block.
     passes: list[tuple] = []
 
     def flip(i: int) -> None:
-        if bob[i] == alice_bits[i]:
+        if not wrong[i]:
             raise CascadeAuditError(_CORRUPT.format(i))
-        bob[i] ^= 1
         holders: list[tuple[int, int]] = []
-        for pass_no, (_, pos_of, size, tops, _, bob_seq, base) in enumerate(passes):
+        for pass_no, (_, pos_of, size, tops, errs, base) in enumerate(passes):
             p = int(pos_of[i])
-            bob_seq[p] ^= 1
+            errs[p] = 0
             t = p // size
             into = tops.get(t) or tops.setdefault(t, [base + t])
             holders += [(s, pass_no) for s in into if 0 <= p - starts[s] < lengths[s]]
@@ -131,96 +131,75 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             if is_odd[s]:
                 heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
 
-    def bisect_to_error(s: int, pass_no: int) -> None:
+    def descend(s: int, pass_no: int) -> int:
+        # Bisect the odd block s, registering both halves at each level, and
+        # return the position of its wrong bit in the pass's order.
         nonlocal disclosed
         starts, lengths, is_odd = fields
         start, length = starts[s], lengths[s]
-        order, _, size, tops, prefix, bob_seq, _ = passes[pass_no]
+        _, _, size, tops, errs, _ = passes[pass_no]
         into, s = tops[start // size], len(starts)
         while length > 1:
             mid = (length + 1) // 2
             disclosed += 1  # Alice announces the first half's parity
-            a = prefix[start + mid] ^ prefix[start]
-            odd = bob_seq.count(1, start, start + mid) & 1 ^ a
+            odd = errs.count(1, start, start + mid) & 1
             into += s, s + 1
             s += 2
             starts += start, start + mid
             lengths += mid, length - mid
             is_odd += odd, odd ^ 1  # the second half's comes free
-            # The block is odd, so exactly one half is. It gets no heap entry: it is
-            # tiled by the leaf flipped below and by shorter siblings, which are all
-            # even before an entry for it could pop, so that pop would find it even.
+            # The odd half gets no heap entry: it is tiled by the leaf fixed after
+            # the descent and by shorter siblings, all even before it could pop.
             if odd:
                 length = mid
             else:
                 start, length = start + mid, length - mid
-        flip(int(order[start]))
-
-    def settle_first_pass(odd: np.ndarray, errors: np.ndarray) -> None:
-        # Pass 0's odd top blocks are disjoint and a flip in one touches no
-        # other, so they settle in one batch, without the heap but in its order,
-        # each bisected into halves that end even. A first half is the odd one
-        # when diff, the running parity of Bob's errors, differs across it.
-        nonlocal disclosed
-        starts, lengths, is_odd = fields
-        _, _, size, tops, _, bob_seq, _ = passes[0]  # its serials start at 0
-        diff = np.bitwise_xor.accumulate(np.append(np.uint8(0), errors)).tobytes()
-        for t in sorted(odd.tolist(), key=lengths.__getitem__):
-            tops[t] = into = [t]
-            start, length, s = starts[t], lengths[t], len(starts)
-            while length > 1:
-                mid = (length + 1) // 2
-                into += s, s + 1
-                s += 2
-                starts += start, start + mid
-                lengths += mid, length - mid
-                is_odd += 0, 0
-                disclosed += 1
-                if diff[start + mid] == diff[start]:
-                    start, length = start + mid, length - mid
-                else:
-                    length = mid
-            if bob[start] == alice_bits[start]:
-                raise CascadeAuditError(_CORRUPT.format(start))
-            bob[start] = bob_seq[start] = alice_bits[start]
-            is_odd[t] = 0
-
-    def settle() -> None:
-        # Smallest odd block first; entries of blocks since repaired are stale.
-        while heap:
-            _, _, s, pass_no = heapq.heappop(heap)
-            if is_odd[s]:
-                bisect_to_error(s, pass_no)
+        return start
 
     k1, rng = initial_block_size(config.qber_hint, n), Rng(config.shuffle_seed)
-    for pass_no in range(config.passes):
+    # After the first pass whose one block spans the key settles, every
+    # registered block is even, so each later pass announces one parity and
+    # flips nothing: those passes are charged here and not run.
+    spans = next(p for p in count() if k1 << p >= n)
+    disclosed += max(0, config.passes - spans - 1)
+    for pass_no in range(min(config.passes, spans + 1)):
         size = min(n, k1 << pass_no)
         disclosed += -(-n // size)
-        errors = alice ^ np.frombuffer(bob, np.uint8)
-        if not errors.any():
+        if 1 not in wrong:
             continue  # no flip can happen any more
         order = pos_of = range(n)
-        alice_seq, along = alice, errors
+        along, errs = errors, wrong
         if pass_no:
             order = rng.derive(pass_no + 1).np.permutation(n)
             pos_of = np.empty(n, dtype=np.intp)
             pos_of[order] = np.arange(n)
-            alice_seq, along = alice[order], errors[order]
-        prefix = bytes(1) + np.bitwise_xor.accumulate(alice_seq).tobytes()
-        bob_seq = bytearray(alice_seq ^ along)
+            along = errors[order]
+            errs = bytearray(along)
         base, cuts, tops = len(starts), np.arange(0, n, size), {}
-        passes.append((order, pos_of, size, tops, prefix, bob_seq, base))
+        passes.append((order, pos_of, size, tops, errs, base))
         top_odd = np.bitwise_xor.reduceat(along, cuts)
         starts += range(0, n, size)
         lengths += np.diff(cuts, append=n).tolist()
         is_odd += top_odd.tolist()
         odd = np.flatnonzero(top_odd)
-        if pass_no:
-            for s in (base + odd).tolist():
-                tops[s - base] = [s]
-                heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
-        else:
-            settle_first_pass(odd, errors)
-        settle()
+        if not pass_no:
+            # Pass 0's odd top blocks are disjoint, so they settle one after
+            # another in the heap's order; every block of the pass ends even.
+            for t in sorted(odd.tolist(), key=lengths.__getitem__):
+                tops[t] = [t]
+                leaf = descend(t, 0)
+                if not wrong[leaf]:
+                    raise CascadeAuditError(_CORRUPT.format(leaf))
+                wrong[leaf] = 0
+            is_odd[:] = [0] * len(is_odd)
+            continue
+        for s in (base + odd).tolist():
+            tops[s - base] = [s]
+            heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
+        # Smallest odd block first; entries of blocks since repaired are stale.
+        while heap:
+            _, _, s, p = heapq.heappop(heap)
+            if is_odd[s]:
+                flip(int(passes[p][0][descend(s, p)]))
 
-    return CascadeResult(np.frombuffer(bob, np.uint8), disclosed, bob == alice_bits)
+    return CascadeResult(alice ^ errors, disclosed, 1 not in wrong)

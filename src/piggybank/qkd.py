@@ -65,11 +65,10 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class SiftedPair:
-    """Basis-matched bits on both sides, plus where they came from."""
+    """Basis-matched bits on both sides."""
 
     alice_key: np.ndarray
     bob_key: np.ndarray
-    kept_indices: np.ndarray
 
     def __len__(self) -> int:
         return int(self.alice_key.size)
@@ -161,9 +160,7 @@ def sift(
 ) -> SiftedPair:
     """Keep only the positions where Bob guessed Alice's basis."""
     kept = np.flatnonzero(train.bases == bob_bases)
-    return SiftedPair(
-        train.bits[kept].copy(), np.asarray(bob_bits)[kept].copy(), kept
-    )
+    return SiftedPair(train.bits[kept], np.asarray(bob_bits)[kept])
 
 
 def estimate_qber(
@@ -188,12 +185,7 @@ def estimate_qber(
     estimate = float(
         np.count_nonzero(pair.alice_key[sample] != pair.bob_key[sample]) / m
     )
-    remainder = SiftedPair(
-        pair.alice_key[rest].copy(),
-        pair.bob_key[rest].copy(),
-        pair.kept_indices[rest].copy(),
-    )
-    return estimate, remainder
+    return estimate, SiftedPair(pair.alice_key[rest], pair.bob_key[rest])
 
 
 @dataclass(frozen=True)
@@ -278,15 +270,15 @@ def _round_layout(
 
 def _sifted_rounds(
     words: np.ndarray, carry: int | None, n_pulses: int, model: ChannelModel
-) -> tuple[np.ndarray, np.ndarray, list[int], list, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[int], list]:
     """Both sifted keys of each round whose raw words are a row of
     `words`, as generate_round, channel_transmit and sift would make
     them from that stream.
 
     Returns every round's keys end to end, Alice's and Bob's, with the
-    index where each round's keys end, per round the 32-bit half-word
-    buffered after it (None if none), and the kept pulses' indices into
-    all rows end to end; `carry` is the one buffered before the first round.
+    index where each round's keys end, and per round the 32-bit half-word
+    buffered after it (None if none); `carry` is the one buffered before
+    the first round.
 
     Decoding, as numpy's PCG64 Generator draws: a 32-bit draw returns the
     buffered half-word if there is one, else the low half of the next raw
@@ -324,7 +316,7 @@ def _sifted_rounds(
     )
     kept = np.flatnonzero(bases == bob_bases)
     ends = np.searchsorted(kept, np.arange(1, len(rows) + 1) * n_pulses).tolist()
-    return bits.take(kept), bob_bits.take(kept), ends, carries, kept
+    return bits.take(kept), bob_bits.take(kept), ends, carries
 
 
 def _packed_rows(keys: np.ndarray, ends: list[int]) -> list[bytes]:
@@ -389,7 +381,7 @@ def run_digest_protocol(
     while done < max_rounds:
         count = min(block, max_rounds - done, max(1, _BLOCK_WORDS // per_round))
         words, carry, mark = rng.draw_raw(count * per_round)
-        alice_keys, bob_keys, ends, carries, _ = _sifted_rounds(
+        alice_keys, bob_keys, ends, carries = _sifted_rounds(
             words, carry, n_pulses, model
         )
         row = _first_agreeing(alice_keys, bob_keys, ends, config)
@@ -557,9 +549,9 @@ def _cascade_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
     per_round, rounds = _round_layout(scenario.pulses, model, False)[0], 0
     while True:
         words, carry, mark = rng.draw_raw(per_round)
-        *keys, _, carries, kept = _sifted_rounds(words, carry, scenario.pulses, model)
+        *keys, _, carries = _sifted_rounds(words, carry, scenario.pulses, model)
         rng.seek_raw(mark, per_round, carries[0])
-        pair = SiftedPair(*keys, kept)
+        pair = SiftedPair(*keys)
         rounds += 1
         # The sample is sacrificed, so the round must leave a remainder.
         if len(pair) >= 2 and math.ceil(scenario.sample_frac * len(pair)) < len(pair):

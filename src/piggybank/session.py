@@ -99,7 +99,7 @@ def _expect(frame: bytes, protocol: Protocol, kind: Kind) -> Message:
     return msg
 
 
-def _bob(role, rng, ack, protocol=None, unseal=None):
+def _bob(role, rng, protocol=None, unseal=None):
     """The box owner's script: challenge, take deposit and letter, recover, ack.
 
     rng feeds the nonce. Trope runs a BASE BobP1 under Protocol.TROPE with
@@ -124,12 +124,11 @@ def _bob(role, rng, ack, protocol=None, unseal=None):
     else:
         recovered = p2_recover(state, role.variant, Response2(*pair))
     manifest_ok = None if unseal is None else unseal((yield), recovered)
-    if ack:
-        yield encode_msg(Message(protocol, Kind.ACK))
+    yield encode_msg(Message(protocol, Kind.ACK))
     return recovered, manifest_ok
 
 
-def _alice(protocol, variant, deposit, ack, seal=None):
+def _alice(protocol, variant, deposit, seal=None):
     """The depositor's script: answer the challenge with deposit and letter.
 
     deposit(challenge) returns the response to send. seal(), when given,
@@ -149,15 +148,14 @@ def _alice(protocol, variant, deposit, ack, seal=None):
     yield encode_msg(Message(protocol, Kind.LETTER, (response.letter,)))
     if seal is not None:
         yield seal()
-    if ack:
-        _expect((yield), protocol, Kind.ACK)
+    _expect((yield), protocol, Kind.ACK)
     return None, None
 
 
-def _script(role, rng, ack):
+def _script(role, rng):
     """The script of one session role; rng feeds a box owner's nonce."""
     if isinstance(role, (BobP1, BobP2)):
-        return (yield from _bob(role, rng, ack))
+        return (yield from _bob(role, rng))
     if not isinstance(role, (AliceP1, AliceP2)):
         raise TypeError(f"not a session role: {role!r}")
     p1 = isinstance(role, AliceP1)
@@ -167,7 +165,7 @@ def _script(role, rng, ack):
         return step(role.params, role.variant, challenge, role.secrets)
 
     protocol = Protocol.P1 if p1 else Protocol.P2
-    return (yield from _alice(protocol, role.variant, deposit, ack))
+    return (yield from _alice(protocol, role.variant, deposit))
 
 
 def _drive(script, transport: Transport) -> SessionOutcome:
@@ -185,11 +183,9 @@ def run_exchange(
     role: BobP1 | AliceP1 | BobP2 | AliceP2,
     transport: Transport,
     rng: Rng | None = None,
-    *,
-    ack: bool = True,
 ) -> SessionOutcome:
     """Drive one endpoint through a full exchange, then close the transport."""
-    return _drive(_script(role, rng, ack), transport)
+    return _drive(_script(role, rng), transport)
 
 
 class _Side:
@@ -255,11 +251,9 @@ def run_pair(
     bob: BobP1 | BobP2,
     alice: AliceP1 | AliceP2,
     rng: Rng | None = None,
-    *,
-    ack: bool = True,
 ) -> tuple[SessionOutcome, SessionOutcome]:
     """Run both endpoints over an in-memory pair; rng feeds Bob's nonce."""
-    return _run_both(_script(bob, rng, ack), _script(alice, None, ack))
+    return _run_both(_script(bob, rng), _script(alice, None))
 
 
 # --- trope: sealed contents manifest on top of a BASE exchange ---
@@ -309,7 +303,7 @@ def _require_manifest_fits(text: str, hash_alg: str) -> None:
         )
 
 
-def _trope_alice(params, deposit_secret, text, rng, letter_key, hash_alg, ack):
+def _trope_alice(params, deposit_secret, text, rng, letter_key, hash_alg):
     """The depositor's trope script: BASE plus the sealed manifest frame."""
     _require_fixed_digest(hash_alg)
 
@@ -329,10 +323,10 @@ def _trope_alice(params, deposit_secret, text, rng, letter_key, hash_alg, ack):
         sealed = _stream_xor(letter_key, plain, hash_alg)
         return encode_msg(Message(Protocol.TROPE, Kind.LETTER, (), sealed))
 
-    return (yield from _alice(Protocol.TROPE, Variant1.BASE, deposit, ack, seal))
+    return (yield from _alice(Protocol.TROPE, Variant1.BASE, deposit, seal))
 
 
-def _trope_bob(params, secret, rng, nonce, hash_alg, ack):
+def _trope_bob(params, secret, rng, nonce, hash_alg):
     """The box owner's trope script: BASE, then unseal and check the manifest."""
     _require_fixed_digest(hash_alg)
 
@@ -351,7 +345,7 @@ def _trope_bob(params, secret, rng, nonce, hash_alg, ack):
         )
 
     role = BobP1(params, secret, Variant1.BASE, nonce)
-    return (yield from _bob(role, rng, ack, Protocol.TROPE, unseal))
+    return (yield from _bob(role, rng, Protocol.TROPE, unseal))
 
 
 def run_trope_alice(
@@ -363,11 +357,10 @@ def run_trope_alice(
     rng: Rng | None = None,
     letter_key: int | None = None,
     hash_alg: str = "sha256",
-    ack: bool = True,
 ) -> SessionOutcome:
     """Deposit a secret plus a sealed manifest naming what was deposited."""
     script = _trope_alice(
-        params, deposit_secret, manifest_text, rng, letter_key, hash_alg, ack
+        params, deposit_secret, manifest_text, rng, letter_key, hash_alg
     )
     return _drive(script, transport)
 
@@ -380,10 +373,9 @@ def run_trope_bob(
     rng: Rng | None = None,
     nonce: int | None = None,
     hash_alg: str = "sha256",
-    ack: bool = True,
 ) -> SessionOutcome:
     """Open the box: recover S and K, unseal the manifest, check its digest."""
-    return _drive(_trope_bob(params, secret, rng, nonce, hash_alg, ack), transport)
+    return _drive(_trope_bob(params, secret, rng, nonce, hash_alg), transport)
 
 
 def run_trope_session(
@@ -397,7 +389,6 @@ def run_trope_session(
     nonce: int | None = None,
     letter_key: int | None = None,
     transports: tuple[Transport, Transport] | None = None,
-    ack: bool = True,
 ) -> SessionOutcome:
     """Drive both trope endpoints and return the box owner's outcome.
 
@@ -408,7 +399,7 @@ def run_trope_session(
     """
     bob_rng, alice_rng = rng.derive(1), rng.derive(2)
     alice = _trope_alice(
-        params, deposit_secret, manifest_text, alice_rng, letter_key, hash_alg, ack
+        params, deposit_secret, manifest_text, alice_rng, letter_key, hash_alg
     )
-    bob = _trope_bob(params, secret, bob_rng, nonce, hash_alg, ack)
+    bob = _trope_bob(params, secret, bob_rng, nonce, hash_alg)
     return _run_both(bob, alice, transports)[0]

@@ -274,7 +274,7 @@ def test_criterion_7_cascade_reliability():
             config = CascadeConfig(
                 passes=4, qber_hint=0.03, shuffle_seed=g.getrandbits(64)
             )
-            pair = SiftedPair(alice, bob, np.arange(1024))
+            pair = SiftedPair(alice, bob)
             # any flip on an already-correct bit raises and fails the test
             result = cascade_reconcile(pair, config)
             if result.success:

@@ -23,7 +23,7 @@ from piggybank import (
 def make_pair(alice_bits, bob_bits) -> SiftedPair:
     alice = np.array(alice_bits, dtype=np.uint8)
     bob = np.array(bob_bits, dtype=np.uint8)
-    return SiftedPair(alice, bob, np.arange(alice.size))
+    return SiftedPair(alice, bob)
 
 
 def zero_error_disclosure(hint: float, n: int, passes: int) -> int:
@@ -172,7 +172,7 @@ class TestSeededTrials:
         key = result.corrected_bob_key
         assert key.dtype == np.uint8 and key.shape == (64,)
         assert key.flags.writeable
-        for part in (pair.alice_key, pair.bob_key, pair.kept_indices):
+        for part in (pair.alice_key, pair.bob_key):
             assert not np.shares_memory(key, part)
 
     def test_input_pair_not_mutated(self):
@@ -220,7 +220,7 @@ class TestValidation:
         ],
     )
     def test_reconcile_rejects_non_bit_values(self, alice, bob):
-        pair = SiftedPair(np.array(alice), np.array(bob), np.arange(len(alice)))
+        pair = SiftedPair(np.array(alice), np.array(bob))
         with pytest.raises(ValueError, match="0 and 1"):
             cascade_reconcile(pair, CascadeConfig(passes=2, qber_hint=0.1))
 
@@ -228,7 +228,7 @@ class TestValidation:
         alice = np.array([True, False, True, True, False, False, True, False])
         bob = np.array([1, 0, 1, 0, 0, 0, 1, 0], dtype=np.int64)
         result = cascade_reconcile(
-            SiftedPair(alice, bob, np.arange(8)), CascadeConfig(passes=1, qber_hint=0.2)
+            SiftedPair(alice, bob), CascadeConfig(passes=1, qber_hint=0.2)
         )
         assert result.success and result.parities_disclosed == 4
         assert result.corrected_bob_key.dtype == np.uint8
@@ -482,6 +482,34 @@ class TestAgainstReference:
             _reference_reconcile(alice, bob, config, reached)
             seen.update(reached)
         assert len(seen) == 2 and min(seen.values()) >= 5, seen
+
+
+class TestPassesPastTheSpanningPass:
+    """Once a pass's one block spans the key and settles, every registered
+    block is even, so each later pass announces one parity and flips
+    nothing. Those passes are charged at once: a billion of them, run one
+    by one, would take hours."""
+
+    @pytest.mark.parametrize("reconciles", [True, False])
+    def test_later_passes_cost_one_parity_each(self, reconciles):
+        if reconciles:
+            g = Rng(31)
+            alice = g.np.integers(0, 2, 500, dtype=np.uint8)
+            bob = alice ^ (g.np.random(500) < 0.04).astype(np.uint8)
+            hint, seed = 0.04, g.getrandbits(64)  # block 18 spans the key at pass 5
+        else:  # TestBacktracking's trapped pair, spanned at pass 2
+            alice, bob, hint = np.zeros(8, np.uint8), np.zeros(8, np.uint8), 0.25
+            bob[:2] = 1
+            seed = next(s for s in range(100) if not _pass2_separates(s, 8, 0, 1, 6))
+        few = CascadeConfig(passes=12, qber_hint=hint, shuffle_seed=seed)
+        key, disclosed, success = _reference_reconcile(alice, bob, few)
+        assert success == reconciles
+        for passes in (12, 10**9):
+            config = CascadeConfig(passes, hint, seed)
+            result = cascade_reconcile(make_pair(alice, bob), config)
+            assert np.array_equal(result.corrected_bob_key, key)
+            assert result.parities_disclosed == disclosed + passes - 12
+            assert result.success == success
 
 
 class TestGarbageCollection:

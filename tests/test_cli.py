@@ -9,6 +9,7 @@ import os
 import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -607,6 +608,20 @@ max_rounds = 50
         assert main(argv) == 0
         assert "qber_hint" not in capsys.readouterr().err
         assert len(csv_path.read_text().splitlines()) == 1 + 2 + 2
+
+    def test_huge_pass_count_finishes(self, tmp_path, capsys):
+        # Passes after the first whose one block spans the key are charged
+        # one parity each, not run; run one by one, these took hours.
+        csv_path = tmp_path / "passes.csv"
+        argv = "qkd --pulses 64 --trials 1 --passes 1000000000 --seed 3"
+        argv += f" --table-out - --csv-out {csv_path}"
+        start = time.perf_counter()
+        assert main(argv.split()) == 0
+        assert time.perf_counter() - start < 30
+        capsys.readouterr()
+        header, first = csv_path.read_text().splitlines()[:2]
+        row = dict(zip(header.split(","), first.split(",")))
+        assert row["strategy"] == "cascade" and int(row["disclosed_bits"]) > 10**9
 
     def test_missing_scenario_file(self, tmp_path, capsys):
         argv = f"qkd --scenario {tmp_path / 'absent'} --table-out -".split()

@@ -130,7 +130,6 @@ class TestSift:
         bob_bits = channel_transmit(train, bob_bases, ChannelModel(0.1, 0.3), rng)
         pair = sift(train, bob_bases, bob_bits)
         kept = [i for i in range(400) if train.bases[i] == bob_bases[i]]
-        assert pair.kept_indices.tolist() == kept
         assert pair.alice_key.tolist() == [int(train.bits[i]) for i in kept]
         assert pair.bob_key.tolist() == [int(bob_bits[i]) for i in kept]
 
@@ -158,8 +157,6 @@ class TestEstimateQber:
         estimate, remainder = estimate_qber(pair, 0.2, Rng(14))
         assert len(remainder) == n - math.ceil(0.2 * n)
         assert 0.0 <= estimate <= 1.0
-        remainder_set = set(remainder.kept_indices.tolist())
-        assert remainder_set < set(pair.kept_indices.tolist())
 
     def test_full_sample_measures_exactly(self):
         pair = self._pair(600, 0.1, 15)
@@ -732,9 +729,7 @@ def _per_call_cascade_trial(scenario, trial, rng):
     perm = rng.np.permutation(n)
     sample, rest = np.sort(perm[:m]), np.sort(perm[m:])
     estimate = np.count_nonzero(pair.alice_key[sample] != pair.bob_key[sample]) / m
-    remainder = qkd.SiftedPair(
-        pair.alice_key[rest], pair.bob_key[rest], pair.kept_indices[rest]
-    )
+    remainder = qkd.SiftedPair(pair.alice_key[rest], pair.bob_key[rest])
     config = qkd.CascadeConfig(
         scenario.passes, min(float(estimate), 0.5), rng.getrandbits(64)
     )
@@ -770,17 +765,6 @@ class TestCascadeArm:
                 raw = rng.np.bit_generator.random_raw(3).tolist()
                 outcomes.append((record, tail, raw))
             assert outcomes[0] == outcomes[1], (eve, noise, predraw)
-
-    @pytest.mark.parametrize("pulses", [5, 64, 1031])
-    def test_mask_gives_sifts_kept_indices(self, pulses):
-        model = ChannelModel(0.05, 0.5)
-        per_round = qkd._round_layout(pulses, model, False)[0]
-        words, carry, _ = Rng(pulses).draw_raw(per_round)
-        kept = qkd._sifted_rounds(words, carry, pulses, model)[-1]
-        rng = Rng(pulses)
-        train, bob_bases = generate_round(pulses, rng)
-        pair = sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
-        assert kept.tolist() == pair.kept_indices.tolist()
 
 
 SCENARIO_TEXT = """\

@@ -176,17 +176,6 @@ class TestRunPair:
         )
         assert runs[0].recovered == runs[1].recovered
 
-    def test_ack_false_is_three_frames(self, desk_rsa):
-        params, secret = desk_rsa
-        bob_out, alice_out = run_pair(
-            BobP1(params, secret, Variant1.BASE, nonce=13),
-            AliceP1(params, Variant1.BASE, AliceSecrets1(5, 29)),
-            ack=False,
-        )
-        assert bob_out.recovered == Recovered1(5, 29)
-        assert len(bob_out.transcript.entries) == 3
-        assert len(alice_out.transcript.entries) == 3
-
     def test_variant_mismatch(self, desk_rsa):
         params, secret = desk_rsa
         with pytest.raises(HandshakeError):
