@@ -10,9 +10,9 @@ Two post-processing strategies are compared on identical channels:
     key and throw the round away on mismatch, repeating until a round
     survives.
 
-Both arms decode their rounds from raw PCG64 words, as generate_round,
-channel_transmit and sift would make them. Everything is driven by a
-seeded Rng, so a scenario plus a seed reproduces byte-identical reports.
+Each arm decodes its rounds from its own stream of raw PCG64 words, as
+generate_round, channel_transmit and sift make them. A scenario plus the
+seed of its Rng reproduces byte-identical reports.
 """
 
 from __future__ import annotations
@@ -74,14 +74,29 @@ class SiftedPair:
         return int(self.alice_key.size)
 
 
+def _random_bits(take, n: int) -> np.ndarray:
+    """n random bits from the next ceil(n/64) raw PCG64 words that
+    `take(count)` returns, least significant bit of each word first, as
+    uint8 0s and 1s along the words' last axis."""
+    octets = take(-(-n // 64)).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")[..., :n]
+
+
+def _random_below(take, n: int, p: float) -> np.ndarray:
+    """n draws of `random() < p` from the next ceil(n/2) raw words: their
+    32-bit halves, low half first, each True when below ceil(p * 2**32),
+    so at p = 1 every draw is True."""
+    halves = take(-(-n // 2)).astype("<u8", copy=False).view("<u4")[..., :n]
+    return halves <= np.uint32(math.ceil(p * 2.0**32) - 1)
+
+
 def generate_round(n_pulses: int, rng: Rng) -> tuple[PulseTrain, np.ndarray]:
-    """Alice's random bits and bases, and Bob's independent basis choices."""
+    """Alice's random bits and bases, and Bob's independent basis choices,
+    drawn in that order as _random_bits arrays of rng's raw words."""
     if n_pulses < 1:
         raise ValueError("need at least one pulse")
-    gen = rng.np
-    bits = gen.integers(0, 2, n_pulses, dtype=np.uint8)
-    bases = gen.integers(0, 2, n_pulses, dtype=np.uint8)
-    bob_bases = gen.integers(0, 2, n_pulses, dtype=np.uint8)
+    take = rng.np.bit_generator.random_raw
+    bits, bases, bob_bases = (_random_bits(take, n_pulses) for _ in range(3))
     return PulseTrain(bits, bases), bob_bases
 
 
@@ -91,31 +106,17 @@ def channel_transmit(
     model: ChannelModel,
     rng: Rng,
 ) -> np.ndarray:
-    """Bob's measured bits after the adversary and the noisy channel.
-
-    Draws, in this order: the adversary's hits, bases and random outcomes
-    (only when eve_fraction > 0), Bob's random outcomes, then the noise
-    flips (only when p_noise > 0). _measure turns them into bits. Bits
-    and bases must be bool or integer arrays holding only 0 and 1.
-    """
+    """Bob's measured bits after the adversary and the noisy channel,
+    drawn from rng's raw words as _measure says. Bits and bases must be
+    bool or integer arrays holding only 0 and 1."""
     n = len(train)
     if bob_bases.shape != train.bits.shape:
         raise ValueError("bob_bases length must match the pulse train")
     for values in (train.bits, train.bases, bob_bases):
         if values.dtype.kind not in "biu" or not ((values == 0) | (values == 1)).all():
             raise ValueError("bits and bases must be integer arrays of 0s and 1s")
-    gen = rng.np
-    eve = None
-    if model.eve_fraction > 0.0:
-        hit = gen.random(n) < model.eve_fraction
-        eve = (
-            hit,
-            gen.integers(0, 2, n, dtype=np.uint8),
-            gen.integers(0, 2, n, dtype=np.uint8),
-        )
-    bob_noise = gen.integers(0, 2, n, dtype=np.uint8)
-    flips = gen.random(n) < model.p_noise if model.p_noise > 0.0 else None
-    return _measure(train.bits, train.bases, bob_bases, bob_noise, eve, flips)
+    take = rng.np.bit_generator.random_raw
+    return _measure(take, train.bits, train.bases, bob_bases, model)
 
 
 def _select(cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,31 +126,35 @@ def _select(cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _measure(
+    take,
     bits: np.ndarray,
     bases: np.ndarray,
     bob_bases: np.ndarray,
-    bob_noise: np.ndarray,
-    eve: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-    flips: np.ndarray | None,
+    model: ChannelModel,
 ) -> np.ndarray:
-    """The channel physics over arrays of one shape, one round or many.
+    """The channel physics over arrays of pulses along their last axis,
+    one round or many, drawn from the raw words `take(count)` returns in
+    this order: the adversary's hits, bases and random outcomes (only
+    when eve_fraction > 0), Bob's random outcomes, then the noise flips
+    (only when p_noise > 0).
 
     A measurement in the pulse's own basis reproduces its bit; any basis
-    mismatch yields the random outcome drawn for it. The adversary, where
-    eve = (hit, eve_bases, eve_noise) marks her, resends in her
-    measurement basis, so her wrong guesses poison Bob's statistics even
-    where his basis matches Alice's. True entries of flips invert Bob's
-    bit.
+    mismatch yields the random outcome drawn for it. The adversary, on
+    the pulses she hits, resends in her measurement basis, so her wrong
+    guesses poison Bob's statistics even where his basis matches
+    Alice's. A noise flip inverts Bob's bit.
     """
+    n = bits.shape[-1]
     send_bits, send_bases = bits, bases
-    if eve is not None:
-        hit, eve_bases, eve_noise = eve
+    if model.eve_fraction > 0.0:
+        hit = _random_below(take, n, model.eve_fraction)
+        eve_bases, eve_noise = _random_bits(take, n), _random_bits(take, n)
         eve_bits = _select(eve_bases == bases, bits, eve_noise)
         send_bits = _select(hit, eve_bits, bits)
         send_bases = _select(hit, eve_bases, bases)
-    bob_bits = _select(bob_bases == send_bases, send_bits, bob_noise)
-    if flips is not None:
-        bob_bits ^= flips
+    bob_bits = _select(bob_bases == send_bases, send_bits, _random_bits(take, n))
+    if model.p_noise > 0.0:
+        bob_bits ^= _random_below(take, n, model.p_noise)
     return bob_bits.astype(np.uint8, copy=False)
 
 
@@ -180,12 +185,10 @@ def estimate_qber(
         raise ValueError("nothing to sample")
     m = math.ceil(sample_frac * n)
     sampled = np.zeros(n, dtype=bool)
-    sampled[rng.np.permutation(n)[:m]] = True
-    sample, rest = np.flatnonzero(sampled), np.flatnonzero(~sampled)
-    estimate = float(
-        np.count_nonzero(pair.alice_key[sample] != pair.bob_key[sample]) / m
-    )
-    return estimate, SiftedPair(pair.alice_key[rest], pair.bob_key[rest])
+    sampled[rng.np.choice(n, m, replace=False)] = True
+    errors = int(np.count_nonzero((pair.alice_key != pair.bob_key) & sampled))
+    rest = ~sampled
+    return errors / m, SiftedPair(pair.alice_key[rest], pair.bob_key[rest])
 
 
 @dataclass(frozen=True)
@@ -234,89 +237,36 @@ class DigestRun:
 _BLOCK_WORDS = 1 << 15
 
 
-def _round_layout(
-    n_pulses: int, model: ChannelModel, buffered: bool
-) -> tuple[int, list[tuple[int, int]], list[tuple[int, float]]]:
-    """Where one round's draws sit in its raw PCG64 words: the words per
-    round, the spans of words that feed 32-bit draws, and (first word, p)
-    for each `random() < p` draw. `buffered` says whether a 32-bit
-    half-word is buffered when the round starts.
-
-    The round draws, in the order of generate_round then channel_transmit:
-    bits, bases, Bob's bases, [hits, Eve's bases, Eve's outcomes,] Bob's
-    outcomes[, flips]. It has four or six bit arrays, so the buffer state
-    at its end is the one it began with and every round of a run has the
-    same layout. The words per round do not depend on `buffered`.
-    """
-    half = -(-n_pulses // 4)  # 32-bit draws per bit array
-    draws: list[float | None] = [None] * 3
-    if model.eve_fraction > 0.0:
-        draws += [model.eve_fraction, None, None]
-    draws.append(None)
-    if model.p_noise > 0.0:
-        draws.append(model.p_noise)
-    pos, spans, thresholds = 0, [], []
-    for p in draws:
-        if p is not None:
-            thresholds.append((pos, p))
-            pos += n_pulses
-            continue
-        width = (half - buffered + 1) // 2
-        buffered = buffered + 2 * width > half
-        spans.append((pos, pos + width))
-        pos += width
-    return pos, spans, thresholds
+def _round_words(n_pulses: int, model: ChannelModel) -> int:
+    """Raw words one round draws: four bit arrays, two more and the hits
+    with an adversary, and the flips on a noisy channel."""
+    eve, noisy = model.eve_fraction > 0.0, model.p_noise > 0.0
+    return (4 + 2 * eve) * -(-n_pulses // 64) + (eve + noisy) * -(-n_pulses // 2)
 
 
 def _sifted_rounds(
-    words: np.ndarray, carry: int | None, n_pulses: int, model: ChannelModel
-) -> tuple[np.ndarray, np.ndarray, list[int], list]:
+    words: np.ndarray, n_pulses: int, model: ChannelModel
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Both sifted keys of each round whose raw words are a row of
-    `words`, as generate_round, channel_transmit and sift would make
-    them from that stream.
+    `words`, as generate_round, channel_transmit and sift make them from
+    those words.
 
-    Returns every round's keys end to end, Alice's and Bob's, with the
-    index where each round's keys end, and per round the 32-bit half-word
-    buffered after it (None if none); `carry` is the one buffered before
-    the first round.
-
-    Decoding, as numpy's PCG64 Generator draws: a 32-bit draw returns the
-    buffered half-word if there is one, else the low half of the next raw
-    word, buffering the high half. `integers(0, 2, n, uint8)` is the top
-    bit of each byte of ceil(n/4) little-endian 32-bit draws. `random()`
-    is (w >> 11) * 2**-53 for the next raw word w and leaves the buffer
-    alone, so `random() < p` is `w < ceil(p * 2**53) << 11`.
+    Returns every round's keys end to end, Alice's and Bob's, and the
+    index where each round's keys end.
     """
-    eve = model.eve_fraction > 0.0
-    width, spans, thresholds = _round_layout(n_pulses, model, carry is not None)
-    rows = words.reshape(-1, width)
-    halves = np.concatenate([rows[:, a:b] for a, b in spans], axis=1)
-    halves = halves.astype("<u8", copy=False).view("<u4")
-    if carry is None:
-        stream, carries = halves, [None] * len(rows)
-    else:
-        stream = np.empty_like(halves)
-        stream[0, 0] = carry
-        stream[1:, 0] = halves[:-1, -1]
-        stream[:, 1:] = halves[:, :-1]
-        carries = halves[:, -1].tolist()
-    groups = stream.view(np.uint8).reshape(len(rows), 6 if eve else 4, -1)
-    bits, bases, bob_bases, *outcomes = (groups[:, :, :n_pulses] >> 7).swapaxes(0, 1)
-    below = [
-        rows[:, a : a + n_pulses] <= np.uint64((math.ceil(p * 2.0**53) << 11) - 1)
-        for a, p in thresholds
-    ]
-    bob_bits = _measure(
-        bits,
-        bases,
-        bob_bases,
-        outcomes[-1],
-        (below[0], *outcomes[:2]) if eve else None,
-        below[-1] if model.p_noise > 0.0 else None,
-    )
+    rows = words.reshape(-1, _round_words(n_pulses, model))
+    used = 0
+
+    def take(count: int) -> np.ndarray:  # the next `count` words of every row
+        nonlocal used
+        used += count
+        return rows[:, used - count : used]
+
+    bits, bases, bob_bases = (_random_bits(take, n_pulses) for _ in range(3))
+    bob_bits = _measure(take, bits, bases, bob_bases, model)
     kept = np.flatnonzero(bases == bob_bases)
     ends = np.searchsorted(kept, np.arange(1, len(rows) + 1) * n_pulses).tolist()
-    return bits.take(kept), bob_bits.take(kept), ends, carries
+    return bits.take(kept), bob_bits.take(kept), ends
 
 
 def _packed_rows(keys: np.ndarray, ends: list[int]) -> list[bytes]:
@@ -368,25 +318,22 @@ def run_digest_protocol(
     most _BLOCK_WORDS words unless one round needs more) and decoded at
     once. Each side's keys are packed once per block, and the rounds are
     checked in order up to the first that agrees (_first_agreeing). The
-    stream is then put where the round-by-round loop of generate_round,
-    channel_transmit and sift would have left it, so every result and
-    every later draw is the same as that loop's.
+    result is the round-by-round loop of generate_round, channel_transmit
+    and sift's; the stream may be drawn past the accepted round, so what
+    it holds afterwards is not part of the result.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
     if n_pulses < 1:
         raise ValueError("need at least one pulse")
-    per_round = _round_layout(n_pulses, model, False)[0]
+    per_round = _round_words(n_pulses, model)
     done, block = 0, 1
     while done < max_rounds:
         count = min(block, max_rounds - done, max(1, _BLOCK_WORDS // per_round))
-        words, carry, mark = rng.draw_raw(count * per_round)
-        alice_keys, bob_keys, ends, carries = _sifted_rounds(
-            words, carry, n_pulses, model
-        )
+        words = rng.np.bit_generator.random_raw(count * per_round)
+        alice_keys, bob_keys, ends = _sifted_rounds(words, n_pulses, model)
         row = _first_agreeing(alice_keys, bob_keys, ends, config)
         if row is not None:
-            rng.seek_raw(mark, (row + 1) * per_round, carries[row])
             start, end = ends[row - 1] if row else 0, ends[row]
             rounds = done + row + 1
             return DigestRun(
@@ -395,7 +342,6 @@ def run_digest_protocol(
                 rounds,
                 rounds * n_pulses,
             )
-        rng.seek_raw(mark, count * per_round, carries[-1])
         done += count
         block *= 2
     raise NoKeyError(max_rounds, max_rounds * n_pulses)
@@ -546,21 +492,23 @@ class StrategyReport:
 
 def _cascade_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
     model = ChannelModel(scenario.p_noise, scenario.eve_fraction)
-    per_round, rounds = _round_layout(scenario.pulses, model, False)[0], 0
+    per_round, rounds = _round_words(scenario.pulses, model), 0
     while True:
-        words, carry, mark = rng.draw_raw(per_round)
-        *keys, _, carries = _sifted_rounds(words, carry, scenario.pulses, model)
-        rng.seek_raw(mark, per_round, carries[0])
-        pair = SiftedPair(*keys)
+        words = rng.np.bit_generator.random_raw(per_round)
+        pair = SiftedPair(*_sifted_rounds(words, scenario.pulses, model)[:2])
         rounds += 1
         # The sample is sacrificed, so the round must leave a remainder.
         if len(pair) >= 2 and math.ceil(scenario.sample_frac * len(pair)) < len(pair):
             break
     estimate, remainder = estimate_qber(pair, scenario.sample_frac, rng)
-    # Any hint from 0.487 up gives block size 1; CascadeConfig refuses 1.0.
+    # An error-free sample of m bits bounds the rate by 3/m at 95% (the
+    # rule of three); a hint of 0 would make the first block most of the
+    # key. Any hint from 0.487 up gives block size 1; CascadeConfig
+    # refuses 1.0.
+    floor = 3 / (len(pair) - len(remainder))
     config = CascadeConfig(
         passes=scenario.passes,
-        qber_hint=min(estimate, 0.5),
+        qber_hint=min(max(estimate, floor), 0.5),
         shuffle_seed=rng.getrandbits(64),
     )
     result = cascade_reconcile(remainder, config)
@@ -624,18 +572,30 @@ def _stats(records: list[TrialRecord]) -> StrategyStats:
     )
 
 
-def compare_strategies(scenario: Scenario, rng: Rng) -> StrategyReport:
-    """Run both strategies over the same per-trial random streams.
+def _trial_streams(seed: int, trial: int) -> tuple[Rng, Rng]:
+    """Trial `trial`'s cascade-arm and digest-arm streams: the two
+    children that SeedSequence(seed, spawn_key=(trial,)) spawns, which is
+    SeedSequence(seed).spawn's child `trial`, each seeding an Rng with its
+    first 64-bit state word.
 
-    Trial t uses rng.derive(t); within a trial the cascade arm consumes
-    the stream first and the digest arm continues on the same stream, so
-    the two arms see identically distributed but independent channels.
+    The spawn key keeps every (seed, trial) pair's entropy distinct:
+    SeedSequence([seed, trial]) would read seed 5, trial 3 and seed
+    5 + 3 * 2**32, trial 0 as the same words.
     """
+    children = np.random.SeedSequence(seed, spawn_key=(trial,)).spawn(2)
+    cascade, digest = (Rng(int(c.generate_state(1, np.uint64)[0])) for c in children)
+    return cascade, digest
+
+
+def compare_strategies(scenario: Scenario, rng: Rng) -> StrategyReport:
+    """Run both strategies on identically distributed but independent
+    channels: trial t's cascade arm and digest arm each draw from their
+    own stream of _trial_streams(rng.seed, t)."""
     records: list[TrialRecord] = []
     for trial in range(scenario.trials):
-        trial_rng = rng.derive(trial)
-        records.append(_cascade_trial(scenario, trial, trial_rng))
-        records.append(_digest_trial(scenario, trial, trial_rng))
+        cascade_rng, digest_rng = _trial_streams(rng.seed, trial)
+        records.append(_cascade_trial(scenario, trial, cascade_rng))
+        records.append(_digest_trial(scenario, trial, digest_rng))
     cascade_records = [r for r in records if r.strategy == "cascade"]
     digest_records = [r for r in records if r.strategy == "digest"]
     return StrategyReport(

@@ -262,12 +262,14 @@ def run_pair(
 def _stream_xor(key: int, data: bytes, hash_alg: str) -> bytes:
     """XOR data with the counter-mode stream hash(key bytes || 8-byte
     counter), blocks concatenated; the same call seals and unseals."""
-    blocks = -(-len(data) // hashlib.new(hash_alg).digest_size)
-    stream = b"".join(
-        hashlib.new(hash_alg, natural_bytes(key) + i.to_bytes(8, "big")).digest()
-        for i in range(blocks)
-    )
-    return bytes(a ^ b for a, b in zip(data, stream))
+    keyed = hashlib.new(hash_alg, natural_bytes(key))
+    blocks = []
+    for i in range(-(-len(data) // keyed.digest_size)):
+        block = keyed.copy()
+        block.update(i.to_bytes(8, "big"))
+        blocks.append(block.digest())
+    stream = int.from_bytes(b"".join(blocks)[: len(data)], "big")
+    return (int.from_bytes(data, "big") ^ stream).to_bytes(len(data), "big")
 
 
 def _manifest_digest(secret: int, description: bytes, hash_alg: str) -> bytes:

@@ -45,6 +45,8 @@ from piggybank import (
     tcp_connect,
     tcp_listen,
 )
+from piggybank.session import _stream_xor
+from piggybank.wire import _MAX_FRAME
 
 CHALLENGE_HEX = "50424e4b010101000200000000000000010400000000"
 DEPOSIT_HEX = "50424e4b0101020001000000013100000000"
@@ -54,7 +56,7 @@ ACK_HEX = "50424e4b010106000000000000"
 
 def _stream(key: int, length: int, alg: str = "sha256") -> bytes:
     """Independent keystream oracle, written from the docstring alone."""
-    out = b""
+    out = bytearray()
     counter = 0
     while len(out) < length:
         block = hashlib.new(alg)
@@ -62,7 +64,7 @@ def _stream(key: int, length: int, alg: str = "sha256") -> bytes:
         block.update(counter.to_bytes(8, "big"))
         out += block.digest()
         counter += 1
-    return out[:length]
+    return bytes(out[:length])
 
 
 def _xor(data: bytes, mask: bytes) -> bytes:
@@ -408,6 +410,19 @@ class TestTrope:
         assert int.from_bytes(plain[:4], "big") == 16
         assert plain[4:20] == b"three gold coins"
         assert plain[20:] == hashlib.sha256(b"\x05" + b"three gold coins").digest()
+
+    @pytest.mark.parametrize("hash_alg", ["sha256", "blake2b"])
+    def test_stream_xor_matches_byte_loop(self, hash_alg):
+        # Lengths around one keystream block, and the longest blob a letter
+        # frame can carry; zero data shows the leading bytes are kept.
+        size = hashlib.new(hash_alg).digest_size
+        letter = len(encode_msg(Message(Protocol.TROPE, Kind.LETTER)))
+        for length in (0, 1, size, size + 1, _MAX_FRAME - letter):
+            for key in (0, 2**200 + 12345):
+                for data in (bytes(length), bytes(range(256)) * (length // 256 + 1)):
+                    data = data[:length]
+                    want = _xor(data, _stream(key, length, hash_alg))
+                    assert _stream_xor(key, data, hash_alg) == want, (length, key)
 
     def test_empty_description_digest(self, desk_rsa):
         # with no description the sealed digest is the hash of the
