@@ -337,9 +337,9 @@ def _digest_fingerprint(
     pulses, eve, noise, max_rounds, predraw, seed, run=run_digest_protocol
 ):
     """Rounds, and a hash of the outcome of `run` (run_digest_protocol by
-    default). predraw first takes one raw word by a 32-bit draw, which
-    leaves the other half of that word buffered for the next 32-bit draw;
-    the rounds read raw words only."""
+    default). predraw first shifts the stream by one raw word (three uint8
+    values come from one 32-bit draw); the rounds read raw words only, so
+    the half-word that draw leaves buffered plays no part."""
     rng = Rng(seed)
     if predraw:
         rng.np.integers(0, 2, 3, dtype=np.uint8)
@@ -705,7 +705,7 @@ def _blocked_and_reference(seed, config):
         float(pick.choice([0.0, 0.0, 0.01, 0.5, 1.0])),
     )
     max_rounds = int(pick.choice([1, 3, 40, 90]))
-    predraw = int(pick.integers(0, 3))  # 1 or 2 leave a half-word buffered
+    predraw = int(pick.integers(0, 3))  # 1 and 2 both shift by one raw word
     outcomes = []
     for run in (run_digest_protocol, _reference_digest_run):
         rng = Rng(seed)
@@ -726,8 +726,8 @@ class TestDigestGolden:
         assert _digest_fingerprint(*case) == _DIGEST_GOLDEN[case]
 
     def test_success_deep_in_a_run_pinned(self):
-        # Part-used last words in every array (258 pulses), a buffered
-        # half-word at the start and an adversary; the digests first agree
+        # Part-used last words in every array (258 pulses), a one-word
+        # shift at the start and an adversary; the digests first agree
         # in round 46, in the sixth block of rounds.
         assert _digest_fingerprint(258, 0.05, 0.02, 200, True, 3) == (
             46, "b8becec3c0c80041"
