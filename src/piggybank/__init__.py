@@ -10,6 +10,7 @@ from .errors import (
     IntegrityError,
     NoKeyError,
     NotInvertibleError,
+    PeerValueError,
     PiggyBankError,
     TransportClosedError,
     TruncationError,

@@ -44,6 +44,10 @@ class CanonicalityError(WireError):
     """A field magnitude carries a leading zero byte."""
 
 
+class PeerValueError(PiggyBankError, ValueError):
+    """A value the peer sent lies outside the range its field allows."""
+
+
 class TransportClosedError(PiggyBankError):
     """Peer closed the channel before the expected frame arrived."""
 

@@ -93,67 +93,6 @@ class Rng:
             if x < n:
                 return x
 
-    def getrandbits_many(
-        self, k: int, count: int
-    ) -> tuple[list[int], Callable[[int], None]]:
-        """The next `count` getrandbits(k) values, decoded from one raw draw.
-
-        Leaves the stream where `count` getrandbits(k) calls would, and
-        returns with the values settle(j), which puts the stream where the
-        first j + 1 calls would have left it, buffered half-word included.
-
-        getrandbits(k) takes its ceil(k/8) bytes from ceil(k/32) 32-bit
-        draws, little-endian, and reads them big-endian; a 32-bit draw
-        returns the buffered half-word if there is one, else the low half
-        of the next raw word, buffering the high half.
-        """
-        if k < 1 or count < 1:
-            raise ValueError("bit count and value count must be positive")
-        nbytes = (k + 7) // 8
-        per = (nbytes + 3) // 4  # 32-bit draws per value
-        words, carry, mark = self.draw_raw((count * per + 1) // 2)
-        raw = words.astype("<u8", copy=False).view("<u4")
-        halves = raw if carry is None else np.insert(raw, 0, carry)
-        data = halves[: count * per].view(np.uint8).reshape(count, 4 * per)
-        data = data[:, :nbytes].tobytes()
-        shift = 8 * nbytes - k
-        values = [
-            int.from_bytes(data[i : i + nbytes], "big") >> shift
-            for i in range(0, len(data), nbytes)
-        ]
-
-        def settle(j: int) -> None:
-            used = (j + 1) * per - (carry is not None)  # half-words of `raw`
-            after = int(raw[used]) if used % 2 else None  # a high half
-            self.seek_raw(mark, (used + 1) // 2, after)
-
-        settle(count - 1)
-        return values, settle
-
-    def draw_raw(self, count: int) -> tuple[np.ndarray, int | None, dict]:
-        """`count` raw 64-bit PCG64 words, for callers that decode draws
-        themselves.
-
-        Also returns the 32-bit half-word the generator had buffered for
-        its next 32-bit draw (None if none), which raw draws leave alone,
-        and a mark of the stream before the draw for seek_raw.
-        """
-        bit_gen = self._gen.bit_generator
-        mark = bit_gen.state
-        carry = mark["uinteger"] if mark["has_uint32"] else None
-        return bit_gen.random_raw(count), carry, mark
-
-    def seek_raw(self, mark: dict, words: int, carry: int | None) -> None:
-        """Put the stream `words` raw words past `mark`, with `carry`
-        buffered as the next 32-bit half-word (None: nothing buffered)."""
-        bit_gen = self._gen.bit_generator
-        bit_gen.state = mark
-        bit_gen.advance(words)  # also drops any buffered half-word
-        if carry is not None:
-            state = bit_gen.state
-            state["has_uint32"], state["uinteger"] = 1, int(carry)
-            bit_gen.state = state
-
 
 def mod_exp(base: int, exp: int, modulus: int) -> int:
     """base**exp mod modulus, for nonnegative operands."""
@@ -339,16 +278,34 @@ def _first_candidate(bits: int, rng: Rng, accept: Callable[[int], bool]) -> int:
 
     Candidates are decoded in blocks of 1, 2, 4, ... up to
     _CANDIDATE_BLOCK, so a key that needs few draws does not overdraw.
+    getrandbits(bits) reads ceil(bits/8) bytes of ceil(bits/32) 32-bit
+    draws, little-endian, as big-endian; a 32-bit draw is the buffered
+    half-word if any, else the low half of the next raw word, buffering
+    the high half. Each block is decoded from one raw draw, then the
+    stream is put back and redrawn through the candidates it took.
     """
-    forced = 1 << (bits - 1) | 1
+    nbytes = (bits + 7) // 8
+    per = (nbytes + 3) // 4  # 32-bit draws per candidate
+    shift, forced = 8 * nbytes - bits, 1 << (bits - 1) | 1
+    bit_gen = rng.np.bit_generator
     count = 1
     while True:
-        values, settle = rng.getrandbits_many(bits, count)
-        for j, value in enumerate(values):
-            candidate = value | forced
-            if accept(candidate):
-                settle(j)
-                return candidate
+        mark = bit_gen.state
+        words = bit_gen.random_raw((count * per + 1) // 2)
+        halves = words.astype("<u8", copy=False).view("<u4")
+        if mark["has_uint32"]:
+            halves = np.insert(halves, 0, mark["uinteger"])
+        data = halves[: count * per].view(np.uint8).reshape(count, 4 * per)
+        data = data[:, :nbytes].tobytes()
+        for j in range(count):
+            value = int.from_bytes(data[j * nbytes : (j + 1) * nbytes], "big")
+            candidate = value >> shift | forced
+            if found := accept(candidate):
+                break
+        bit_gen.state = mark
+        rng.np.bytes(4 * per * (j + 1))  # as j + 1 getrandbits(bits) calls
+        if found:
+            return candidate
         count = min(2 * count, _CANDIDATE_BLOCK)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from math import gcd
 
-from .errors import IntegrityError
+from .errors import IntegrityError, PeerValueError
 from .numtheory import (
     Rng,
     RsaParams,
@@ -153,11 +153,11 @@ def p1_deposit(
     """
     n, e = params.n, params.e
     if not 0 <= challenge <= n - 1:
-        raise ValueError("challenge out of range")
+        raise PeerValueError("challenge out of range")
     if challenge == 0 and variant in _EXP_CHALLENGE_VARIANTS:
-        raise ValueError("challenge 0 is degenerate for this variant")
+        raise PeerValueError("challenge 0 is degenerate for this variant")
     if variant is Variant1.UNIT_R and challenge != 1:
-        raise ValueError("UNIT_R exchanges carry challenge 1 only")
+        raise PeerValueError("UNIT_R exchanges carry challenge 1 only")
     s, k = secrets.secret, secrets.key
     check_secrets1(n, s, k)
     if variant is Variant1.BASE:
@@ -184,7 +184,7 @@ def p1_recover(state: BobState1, response: Response1) -> Recovered1:
     n = state.params.n
     deposit, letter = response.deposit, response.letter
     if not (0 <= deposit <= n - 1 and 0 <= letter <= n - 1):
-        raise ValueError("response out of range")
+        raise PeerValueError("response out of range")
     variant = state.variant
     if variant is Variant1.MULTIPLICATIVE:
         s = deposit * mod_inv(state.challenge_sent, n) % n

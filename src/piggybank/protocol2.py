@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .errors import DegenerateCaseError
+from .errors import DegenerateCaseError, PeerValueError
 from .numtheory import DhParams, Rng, mod_exp, mod_inv
 
 
@@ -110,7 +110,7 @@ def p2_deposit(
     """Alice's side: blind K with t = challenge^secret and seal the letter."""
     p = params.p
     if not 1 <= challenge <= p - 1:
-        raise ValueError("challenge must lie in [1, p-1]")
+        raise PeerValueError("challenge must lie in [1, p-1]")
     s, k = secrets.secret, secrets.key
     check_secrets2(p, variant, s, k)
     t = mod_exp(challenge, s, p)
@@ -131,7 +131,7 @@ def p2_recover(
     p = state.params.p
     deposit, letter = response.deposit, response.letter
     if not (0 <= deposit <= p - 1 and 0 <= letter <= p - 1):
-        raise ValueError("response out of range")
+        raise PeerValueError("response out of range")
     t = mod_exp(letter, state.nonce, p)
     if variant is Variant2.ADDITIVE:
         key = (deposit - t) % p

@@ -10,9 +10,9 @@ Two post-processing strategies are compared on identical channels:
     key and throw the round away on mismatch, repeating until a round
     survives.
 
-Each arm decodes its rounds from its own stream of raw PCG64 words, as
-generate_round, channel_transmit and sift make them. A scenario plus the
-seed of its Rng reproduces byte-identical reports.
+The cascade arm draws each round with generate_round, channel_transmit
+and sift; the digest arm decodes blocks of rounds from raw PCG64 words
+as they would. A scenario and its Rng's seed reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ import numpy as np
 from .cascade import CascadeConfig, cascade_reconcile
 from .errors import NoKeyError
 from .numtheory import Rng
-
-BASIS_RECTILINEAR = 0
-BASIS_DIAGONAL = 1
 
 
 @dataclass(frozen=True)
@@ -492,13 +489,13 @@ class StrategyReport:
 
 def _cascade_trial(scenario: Scenario, trial: int, rng: Rng) -> TrialRecord:
     model = ChannelModel(scenario.p_noise, scenario.eve_fraction)
-    per_round, rounds = _round_words(scenario.pulses, model), 0
+    rounds = 0
     while True:
-        words = rng.np.bit_generator.random_raw(per_round)
-        pair = SiftedPair(*_sifted_rounds(words, scenario.pulses, model)[:2])
+        train, bob_bases = generate_round(scenario.pulses, rng)
+        pair = sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
         rounds += 1
         # The sample is sacrificed, so the round must leave a remainder.
-        if len(pair) >= 2 and math.ceil(scenario.sample_frac * len(pair)) < len(pair):
+        if math.ceil(scenario.sample_frac * len(pair)) < len(pair):
             break
     estimate, remainder = estimate_qber(pair, scenario.sample_frac, rng)
     # An error-free sample of m bits bounds the rate by 3/m at 95% (the

@@ -387,6 +387,9 @@ class TestRng:
     @pytest.mark.parametrize("k", [1, 7, 8, 9, 31, 32, 33, 255, 511, 512])
     @pytest.mark.parametrize("buffered", [False, True])
     def test_getrandbits_many_matches_calls(self, k, buffered):
+        # _first_candidate decodes its candidates from raw words in blocks
+        # of 1, 2, 4, 8, ...; taking the j-th for j = 0..14 ends the search
+        # in each of the first four blocks, at and before a block's end.
         def fresh():
             rng = Rng(1000 + k)
             if buffered:
@@ -397,26 +400,20 @@ class TestRng:
             raw = rng.np.bit_generator.random_raw(2).tolist()
             return raw, rng.getrandbits(32), rng.getrandbits(9)
 
-        for count in (1, 2, 3, 8):
-            for j in range(count):
-                loop = fresh()
-                expected = [loop.getrandbits(k) for _ in range(count)]
-                after_all = next_draws(loop)
-                loop = fresh()
-                for _ in range(j + 1):
-                    loop.getrandbits(k)
-                rng = fresh()
-                values, settle = rng.getrandbits_many(k, count)
-                assert values == expected
-                assert next_draws(rng) == after_all
-                settle(j)
-                assert next_draws(rng) == next_draws(loop)
+        forced = 1 << (k - 1) | 1
+        for j in range(15):
+            loop = fresh()
+            expected = [loop.getrandbits(k) | forced for _ in range(j + 1)]
+            seen = []
 
-    def test_getrandbits_many_rejects_empty_draws(self):
-        with pytest.raises(ValueError):
-            Rng(1).getrandbits_many(0, 4)
-        with pytest.raises(ValueError):
-            Rng(1).getrandbits_many(8, 0)
+            def accept(candidate):
+                seen.append(candidate)
+                return len(seen) == j + 1
+
+            rng = fresh()
+            assert numtheory._first_candidate(k, rng, accept) == expected[-1]
+            assert seen == expected, j
+            assert next_draws(rng) == next_draws(loop), j
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 from piggybank import (
     AliceSecrets1,
     IntegrityError,
+    PeerValueError,
     Recovered1,
     Response1,
     Rng,
@@ -113,24 +114,25 @@ class TestDeposit:
         params, _ = desk_rsa
         secrets = AliceSecrets1(5, 29)
         for variant in (Variant1.BASE, Variant1.MULTIPLICATIVE):
-            with pytest.raises(ValueError):
+            with pytest.raises(PeerValueError):
                 p1_deposit(params, variant, 0, secrets)
         # fine for the plaintext-challenge additive shapes
         assert p1_deposit(params, Variant1.PLAIN_R_KEYED, 0, secrets).deposit == 29
 
     def test_unit_r_rejects_other_challenges(self, desk_rsa):
         params, _ = desk_rsa
-        with pytest.raises(ValueError):
+        with pytest.raises(PeerValueError):
             p1_deposit(params, Variant1.UNIT_R, 4, AliceSecrets1(5, 29))
 
     def test_range_validation(self, desk_rsa):
         params, _ = desk_rsa
-        with pytest.raises(ValueError):
+        with pytest.raises(PeerValueError):
             p1_deposit(params, Variant1.BASE, 51, AliceSecrets1(5, 29))
-        with pytest.raises(ValueError):
-            p1_deposit(params, Variant1.BASE, 4, AliceSecrets1(0, 29))
-        with pytest.raises(ValueError):
-            p1_deposit(params, Variant1.BASE, 4, AliceSecrets1(5, 51))
+        # Alice's own secrets are her caller's error, not the peer's.
+        for secrets in (AliceSecrets1(0, 29), AliceSecrets1(5, 51)):
+            with pytest.raises(ValueError) as refused:
+                p1_deposit(params, Variant1.BASE, 4, secrets)
+            assert not isinstance(refused.value, PeerValueError)
 
 
 class TestRecover:
@@ -149,7 +151,7 @@ class TestRecover:
     def test_response_range_validation(self, desk_rsa):
         params, secret = desk_rsa
         state = p1_init(params, secret, Variant1.BASE, nonce=13)
-        with pytest.raises(ValueError):
+        with pytest.raises(PeerValueError):
             p1_recover(state, Response1(51, 23))
 
 

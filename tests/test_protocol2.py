@@ -9,6 +9,7 @@ from piggybank import (
     DegenerateCaseError,
     DhParams,
     Outcome2,
+    PeerValueError,
     Response2,
     Rng,
     Variant2,
@@ -62,7 +63,7 @@ class TestValidation:
             p2_init(desk_dh)
 
     def test_deposit_rejects_zero_challenge(self, desk_dh):
-        with pytest.raises(ValueError):
+        with pytest.raises(PeerValueError):
             p2_deposit(desk_dh, Variant2.ADDITIVE, 0, AliceSecrets2(3, 10))
 
     def test_deposit_range_checks(self, desk_dh):
@@ -77,7 +78,7 @@ class TestValidation:
 
     def test_recover_range_checks(self, desk_dh):
         state = p2_init(desk_dh, nonce=11)
-        with pytest.raises(ValueError):
+        with pytest.raises(PeerValueError):
             p2_recover(state, Variant2.ADDITIVE, Response2(37, 8))
 
 

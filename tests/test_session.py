@@ -24,6 +24,7 @@ from piggybank import (
     Kind,
     Message,
     Outcome2,
+    PiggyBankError,
     Protocol,
     Recovered1,
     Rng,
@@ -33,6 +34,8 @@ from piggybank import (
     Variant2,
     decode_msg,
     encode_msg,
+    gen_dh,
+    gen_rsa,
     memory_pair,
     p1_deposit,
     run_exchange,
@@ -45,7 +48,7 @@ from piggybank import (
     tcp_connect,
     tcp_listen,
 )
-from piggybank.session import _stream_xor
+from piggybank.session import _run_both, _script, _stream_xor
 from piggybank.wire import _MAX_FRAME
 
 CHALLENGE_HEX = "50424e4b010101000200000000000000010400000000"
@@ -234,6 +237,35 @@ class TestMalformedPeer:
 
     def test_letter_before_deposit(self, desk_rsa):
         self._drive_bob(desk_rsa, [encode_msg(Message(Protocol.P1, Kind.LETTER, (1,)))])
+
+    def test_every_single_bit_tamper_fails_cleanly(self):
+        # Each bit of each frame on the depositor's end, flipped in turn, in
+        # all seven variants on 64-bit keys: a session may fail, but only
+        # with a PiggyBankError.
+        params, secret = gen_rsa(64, 3, Rng(1))
+        group = gen_dh(64, Rng(1))
+        roles = [
+            (BobP1(params, secret, v), AliceP1(params, v, AliceSecrets1(7, 30)))
+            for v in Variant1
+        ] + [
+            (BobP2(group, v), AliceP2(group, v, AliceSecrets2(3, 10)))
+            for v in Variant2
+        ]
+        raw = []
+        for bob, alice in roles:
+            frames = run_pair(bob, alice, Rng(5))[1].transcript.frames()
+            for index, frame in enumerate(frames):
+                for bit in range(8 * len(frame)):
+                    bob_end, alice_end = memory_pair()
+                    rule = TamperRule(index, bit // 8, bit % 8)
+                    ends = bob_end, tap_attach(alice_end, (rule,))[0]
+                    try:
+                        _run_both(_script(bob, Rng(5)), _script(alice, None), ends)
+                    except PiggyBankError:
+                        pass
+                    except Exception as exc:
+                        raw.append((bob.variant, rule, exc))
+        assert not raw, f"{len(raw)} raw exceptions, first {raw[:3]}"
 
 
 class TestTcpParity:
