@@ -309,21 +309,25 @@ def _first_candidate(bits: int, rng: Rng, accept: Callable[[int], bool]) -> int:
         count = min(2 * count, _CANDIDATE_BLOCK)
 
 
-def _random_prime(bits: int, rng: Rng) -> int:
+def _random_prime(bits: int, e: int, rng: Rng) -> int:
     # Top bit forced so a product of two such primes lands at full width.
-    # The sieve refuses only composites, which the 40-round test refuses
-    # too, so it leaves the output unchanged.
+    # A prime with gcd(e, p-1) > 1 can never be in a key for e, so it is
+    # refused before the sieve and the 40-round test; the three checks
+    # are pure, so their order leaves the output unchanged.
     return _first_candidate(
         bits,
         rng,
-        lambda n: _small_factor_free(n, n) and is_probable_prime(n, 40),
+        lambda n: gcd(e, n - 1) == 1
+        and _small_factor_free(n, n)
+        and is_probable_prime(n, 40),
     )
 
 
 def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
     """Fresh keypair with n of exactly `bits` bits and gcd(e, phi) = 1.
 
-    Primes are resampled until the width and coprimality conditions hold.
+    Each prime is drawn with gcd(e, p-1) = 1, which makes gcd(e, phi) = 1;
+    pairs are resampled until the primes differ and n has full width.
     Up to 16 bits every prime pair is listed first, without drawing from
     rng, and a width and e that no pair admits raise ValueError (bits 8
     with e = 3 or 5: the only candidates are 11 and 13, phi = 120). Wider
@@ -344,25 +348,20 @@ def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
     ):
         raise ValueError(f"no {bits}-bit modulus has gcd(e, phi) = 1 for e = {e}")
     while True:
-        p = _random_prime(half_hi, rng)
-        q = _random_prime(half_lo, rng)
-        if p == q:
-            continue
-        n = p * q
-        if n.bit_length() != bits:
+        p = _random_prime(half_hi, e, rng)
+        q = _random_prime(half_lo, e, rng)
+        if p == q or (p * q).bit_length() != bits:
             continue
         phi = (p - 1) * (q - 1)
-        if gcd(e, phi) != 1:
-            continue
-        return RsaParams(n, e), RsaSecret(p, q, phi, mod_inv(e, phi))
+        return RsaParams(p * q, e), RsaSecret(p, q, phi, mod_inv(e, phi))
 
 
 def gen_dh(bits: int, rng: Rng) -> DhParams:
     """Safe prime p = 2q+1 of `bits` bits plus a verified generator.
 
     Any unit's order divides 2q, so ruling out orders 1, 2 and q by two
-    exponentiations proves g generates the whole group. q is drawn as
-    _random_prime(bits - 1) draws. A joint sieve and a base-2 Fermat test
+    exponentiations proves g generates the whole group. q's candidates
+    are drawn as _random_prime's. A joint sieve and a base-2 Fermat test
     on q and 2q+1 skip only pairs that the 40-round tests would reject,
     so they leave the output for every rng unchanged.
     """

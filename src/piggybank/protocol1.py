@@ -178,8 +178,10 @@ def p1_recover(state: BobState1, response: Response1) -> Recovered1:
     """Bob's side: open the deposit with the trapdoor exponent, by CRT.
 
     MULTIPLICATIVE recovers the secret by division and cross-checks it
-    against the letter; a mismatch raises IntegrityError rather than
-    returning a fabricated value.
+    against the letter with the public exponent: for a consistent key,
+    x -> x^e permutes Z_n with inverse x -> x^d, so s^e == letter exactly
+    when the letter opens to s. A mismatch raises IntegrityError rather
+    than returning a fabricated value.
     """
     n = state.params.n
     deposit, letter = response.deposit, response.letter
@@ -188,7 +190,7 @@ def p1_recover(state: BobState1, response: Response1) -> Recovered1:
     variant = state.variant
     if variant is Variant1.MULTIPLICATIVE:
         s = deposit * mod_inv(state.challenge_sent, n) % n
-        if rsa_open(letter, state.secret) != s:
+        if mod_exp(s, state.params.e, n) != letter:
             raise IntegrityError("letter does not open to the deposited secret")
         return Recovered1(s, None)
     if variant is Variant1.PLAIN_R_KEYED:

@@ -160,7 +160,10 @@ def test_criterion_3_exhaustive_desk_scale():
                     for k in range(k_lo, p):
                         try:
                             response = p2_deposit(
-                                DESK_DH, variant, state.challenge_sent, AliceSecrets2(s, k)
+                                DESK_DH,
+                                variant,
+                                state.challenge_sent,
+                                AliceSecrets2(s, k),
                             )
                         except DegenerateCaseError:
                             # only the t = p-1 blind spot may be skipped

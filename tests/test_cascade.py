@@ -77,7 +77,9 @@ class TestHandTraced:
         assert result.parities_disclosed == 11
         assert result.parities_disclosed == zero_error_disclosure(0.1, 32, 4)
 
-    @pytest.mark.parametrize("hint,n,passes", [(0.0, 8, 1), (0.05, 100, 4), (0.3, 7, 2)])
+    @pytest.mark.parametrize(
+        "hint,n,passes", [(0.0, 8, 1), (0.05, 100, 4), (0.3, 7, 2)]
+    )
     def test_zero_error_formula_holds(self, hint, n, passes):
         bits = Rng(n).np.integers(0, 2, n, dtype=np.uint8)
         result = cascade_reconcile(

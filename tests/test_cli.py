@@ -98,7 +98,9 @@ class TestExchange:
 
     def test_every_variant_runs(self, capsys):
         for variant in ("base", "unit-r", "multiplicative", "plain-r", "plain-r-keyed"):
-            argv = f"exchange p1 --variant {variant} --n 51 --e 3 --d 11 --seed 8".split()
+            argv = (
+                f"exchange p1 --variant {variant} --n 51 --e 3 --d 11 --seed 8"
+            ).split()
             assert main(argv) == 0, variant
             assert capsys.readouterr().out.startswith("S=")
         argv = "exchange p2 --variant multiplicative --p 37 --g 2 --seed 8".split()
@@ -176,7 +178,7 @@ class TestKeygen:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
         data = json.loads(first)
-        assert data == {"kind": "rsa", "bits": 16, "n": 38911, "e": 3}
+        assert data == {"kind": "rsa", "bits": 16, "n": 33823, "e": 3}
 
     def test_rsa_too_small(self, capsys):
         assert main("keygen rsa --bits 4 --seed 1".split()) == 2
@@ -224,7 +226,7 @@ class TestKeygen:
         assert main(argv.split()) == 0
         capsys.readouterr()
         assert private_path.stat().st_mode & 0o777 == 0o600
-        assert json.loads(private_path.read_text())["n"] == 8412073
+        assert json.loads(private_path.read_text())["n"] == 14411107
 
     def test_public_file_alone_cannot_open_box(self, capsys, tmp_path):
         public_path = tmp_path / "box.pub"
@@ -244,11 +246,11 @@ class TestKeygen:
         assert main(argv) == 0
         capsys.readouterr()
         assert public_path.read_text() == (
-            '{\n  "kind": "rsa",\n  "bits": 24,\n  "n": 8412073,\n  "e": 3\n}\n'
+            '{\n  "kind": "rsa",\n  "bits": 24,\n  "n": 14411107,\n  "e": 3\n}\n'
         )
         assert private_path.read_text() == (
-            '{\n  "kind": "rsa",\n  "n": 8412073,\n  "e": 3,\n  "p": 2381,\n'
-            '  "q": 3533,\n  "phi": 8406160,\n  "d": 5604107\n}\n'
+            '{\n  "kind": "rsa",\n  "n": 14411107,\n  "e": 3,\n  "p": 3533,\n'
+            '  "q": 4079,\n  "phi": 14403496,\n  "d": 9602331\n}\n'
         )
 
 
@@ -544,7 +546,9 @@ max_rounds = 50
         outputs = []
         for name in ("a.csv", "b.csv"):
             csv_path = tmp_path / name
-            argv = f"qkd --scenario {scenario} --table-out - --csv-out {csv_path}".split()
+            argv = (
+                f"qkd --scenario {scenario} --table-out - --csv-out {csv_path}"
+            ).split()
             assert main(argv) == 0
             capsys.readouterr()
             outputs.append(csv_path.read_bytes())
@@ -573,7 +577,9 @@ max_rounds = 50
     def test_flag_overrides_scenario(self, tmp_path, capsys):
         scenario = self._write_scenario(tmp_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = f"qkd --scenario {scenario} --table-out - --csv-out {a} --trials 2".split()
+        argv = (
+            f"qkd --scenario {scenario} --table-out - --csv-out {a} --trials 2"
+        ).split()
         assert main(argv) == 0
         capsys.readouterr()
         assert len(a.read_text().splitlines()) == 1 + 4 + 2
@@ -590,7 +596,9 @@ max_rounds = 50
     def test_env_seed_overrides_scenario(self, tmp_path, capsys, monkeypatch):
         scenario = self._write_scenario(tmp_path)
         via_flag, via_env = tmp_path / "flag.csv", tmp_path / "env.csv"
-        argv = f"qkd --scenario {scenario} --table-out - --csv-out {via_flag} --seed 77".split()
+        argv = (
+            f"qkd --scenario {scenario} --table-out - --csv-out {via_flag} --seed 77"
+        ).split()
         assert main(argv) == 0
         capsys.readouterr()
         monkeypatch.setenv("PIGGYBANK_SEED", "77")

@@ -53,6 +53,21 @@ def sieve(limit: int) -> set[int]:
     return {i for i, f in enumerate(flags) if f}
 
 
+def plain_gen_rsa(bits: int, e: int, rng: Rng) -> tuple[int, int]:
+    """(n, d) from one getrandbits draw per prime candidate, no sieve."""
+
+    def prime(width: int) -> int:
+        while True:
+            n = rng.getrandbits(width) | 1 << (width - 1) | 1
+            if math.gcd(e, n - 1) == 1 and is_probable_prime(n, 40):
+                return n
+
+    while True:
+        p, q = prime((bits + 1) // 2), prime(bits // 2)
+        if p != q and (p * q).bit_length() == bits:
+            return p * q, pow(e, -1, (p - 1) * (q - 1))
+
+
 # chi-square critical values, alpha = 0.001 (frozen so scipy is not a
 # dependency): df=49 -> 85.351, df=1 -> 10.828
 CHI2_DF49 = 85.351
@@ -77,27 +92,29 @@ GOLDEN_DH = {
         (0xc99ce08b2a9685d9d2d4fe99f8db7287, 0x242058c5b1d652f47fd2a1e2e21a75a2),
     ],
 }
+# The RSA keys were re-pinned from plain_gen_rsa once each prime had to
+# satisfy gcd(e, p-1) = 1 before its primality test.
 GOLDEN_RSA = {
     128: [
         (
-            0xcae12b0bd558f768c9a1500a185e2fcf,
-            0x8740c75d38e5fa44abdc542eafc9234b,
+            0x92dbb8a4b68bf45cec1173219ab32eef,
+            0x61e7d06dcf07f83cf008da7c4757632b,
         ),
         (
-            0xb85ce68d81c50a3d998ca39458b5a7ad,
-            0x7ae899b3abd8b17d4366309eb2062beb,
+            0x994db68d7bc71b82d7f977ec45faada3,
+            0x6633cf08fd2f67ab87c8a009bc5366ab,
         ),
         (
-            0x84b5f9c83185589ae780f045684db163,
-            0x58795130210390664586874a3a91addb,
+            0xd8b70b00311811f2cc338ccf9bc364cd,
+            0x907a075576100bf5f7abfb4013aefb6b,
         ),
         (
-            0xad32a23c15855651eee2fd8b33c7d81f,
-            0x737716d2b9038ee030c9152cf0a756db,
+            0x8ce730ffb98eab9aaf18d9a0c9d51f45,
+            0x5def75ffd109c7bb772b7b5351d877f3,
         ),
         (
-            0xad85695df2aead3d7d39520f22cb139d,
-            0x73ae463ea1c9c8d28fc3c297d8c47053,
+            0x8c62d0aeb1b673468e39e9b5e02f515f,
+            0x5d9735c9cbcef783594f69c0cfa71cab,
         ),
     ],
     256: [
@@ -110,16 +127,16 @@ GOLDEN_RSA = {
             0x57d28aa2ddf22778a51281255916aa98c15de019431be3a6c671d0549469ea23,
         ),
         (
-            0xaab029c5ad055f16136cce949abac67570fc5ba11753c4b119fed13c93bd855f,
-            0x71cac683c8ae3f640cf3346311d1d9a289ccd36cb65122e7b762f3656b306d6b,
+            0x83f15c7c98a58777550873f270c0dc5fb86e0473e79a1804468caeba8735771b,
+            0x57f63da865c3afa4e35af7f6f5d5e83ed6055e9734763e2984a8fe1a4c8aaa3b,
         ),
         (
-            0xd4b8c66c024d7a032eb05ba48c910a441b53f27b79f81b11e0d7a1c1ca1b996b,
-            0x8dd084480188fc021f203d185db606d6db11b626c5dccec101beba4897f3389b,
+            0x82b89bbfef5bbf823cb68f9aaedc25a4c39b64d06bdd65cf5feea182176df5c7,
+            0x5725bd2a9f927fac2879b511c9e819178e655899d457ef0dbfc2a412946cce3b,
         ),
         (
-            0x80f4375bcba0e084b0c32d9a5c100167a54556cfab8306ba1ca737703bfbc0a5,
-            0x55f824e7dd15eb0320821e66e80aab997bbdaed2d173a8d9eae09f86f8dc52ab,
+            0xaae0c0cfc2efbbaca24655aeebe7dfc9dd4df94dc3d800cc44a5bddce706f677,
+            0x71eb2b352c9fd27316d98e749d453fdace36710e02a6a58c4aa43cb7fdf8f75b,
         ),
     ],
 }
@@ -151,11 +168,11 @@ GOLDEN_DH_256 = [
 ]
 # sha256 of f"{n:x}:{d:x}" for gen_rsa(1024, 3).
 GOLDEN_RSA_1024 = [
-    "967ba47ee9e8cdb812890ff0bdfa7b552c80d9df619c132f6a207939f75a0f0b",
+    "dcc3aba778316d025cc850d10f11ecdcc95389cdd4d47535898ef054758f5c59",
     "59297582f0c956deb0ee36476ab8927a3c0c9641c41b05c04c75cf1cc4fd4f66",
-    "989191e1bb411d955a285c85c9e58c482aaffed0e4b09ac76feec882d0620872",
+    "9440deda6c2eb7e7e1402f77d796798af63be8e9de05195457b798b765033c60",
     "7e476f47ef7dad984ca061c45c99bb7a477f1aab2401513f03d60fb5b7ca22b0",
-    "fbb103212aa276201fb6e9e71f486ec4635c0cb0e368c8f5610a2b5c4c8c9fe8",
+    "8fdb82cce34e5e85a55375a65eb8c26c0907073335d079256b6f1b0c9d434b0b",
 ]
 # Keygen from an Rng with a 32-bit half-word buffered (a 5-bit draw first):
 # (kind, bits, seed) -> (n, d) or (p, g), the first 16 hex digits of the
@@ -164,10 +181,10 @@ GOLDEN_RSA_1024 = [
 # 8 and 12 give q below 2048, the others above.
 GOLDEN_BUFFERED = {
     ("rsa", 17, 0): (0x15c97, 0xe6cb, "3553cbf3f7a81816", 212023911),
-    ("rsa", 17, 1): (0x154e7, 0xe19b, "f1342dea954df10c", 1306445895),
-    ("rsa", 17, 2): (0x10efd, 0xb32b, "f670b02fcab26988", 1007579729),
+    ("rsa", 17, 1): (0x162c1, 0xeacb, "ce620f6c01a8171f", 1159313695),
+    ("rsa", 17, 2): (0x16393, 0xeb6b, "7cc05be109a9eee7", 3113108046),
     ("rsa", 33, 0): (0x1619b91f5, 0xebbb7373, "0893e84bf8398376", 529917837),
-    ("rsa", 33, 1): (0x1392de349, 0xd0c7c483, "7ed85c238907e5d1", 2703073908),
+    ("rsa", 33, 1): (0x1560f9961, 0xe408d463, "7ed85c238907e5d1", 2703073908),
     ("rsa", 33, 2): (0x164f6cf17, 0xedf83c6b, "7cc05be109a9eee7", 1676306764),
     ("rsa", 129, 0): (
         0x1161d56dd69af0645f5c93d3d7176b72d,
@@ -176,16 +193,16 @@ GOLDEN_BUFFERED = {
         4178257048,
     ),
     ("rsa", 129, 1): (
-        0x18794ee18d4a77ac415dfbc26a02a2955,
-        0x1050df4108dc4fc80efa493288c767973,
-        "770ec22d5065f87f",
-        3224761912,
+        0x17bafe460859faf1aa9d67b0c5d7c3679,
+        0xfd1fed95ae6a74bac53e297d882045ab,
+        "351e0a3a52834064",
+        1431093813,
     ),
     ("rsa", 129, 2): (
-        0x130193ad6d96fe594d65fcc547c7ef9e3,
-        0xcabb7c8f3b9fee61c2c070a78efc9b4b,
-        "3a99ddfab22a394c",
-        2140313785,
+        0x16612038a4ff08efc664d73d02c80446f,
+        0xeeb6ad06dff5b4a69bf09b8cff9e18bb,
+        "96141a32e1a45d8a",
+        3786713644,
     ),
     ("dh", 8, 0): (0xb3, 0x21, "bebb7c43363084f6", 1930467592),
     ("dh", 8, 1): (0xa7, 0x35, "192579444198c8a7", 772594207),
@@ -507,6 +524,22 @@ class TestKeyGeneration:
             assert params.n.bit_length() == bits
             check_rsa_consistent(params, secret)
         assert gen_rsa(8, 7, Rng(1))[0].n == 143
+
+    @pytest.mark.parametrize("e", [3, 5, 17, 65537])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_gen_rsa_matches_plain_loop(self, e, buffered):
+        for bits in (17, 18, 24, 33, 47, 64, 65, 96, 129, 256):
+            for seed in range(3):
+                rngs = Rng(seed), Rng(seed)
+                if buffered:
+                    for rng in rngs:
+                        rng.getrandbits(5)  # buffers the high half of a word
+                fast, plain = rngs
+                params, secret = gen_rsa(bits, e, fast)
+                case = bits, seed
+                assert (params.n, secret.d) == plain_gen_rsa(bits, e, plain), case
+                raw = [rng.np.bit_generator.random_raw(3).tolist() for rng in rngs]
+                assert raw[0] == raw[1], case
 
     def test_gen_rsa_roundtrips_messages(self):
         params, secret = gen_rsa(32, 3, Rng(9))

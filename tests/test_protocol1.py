@@ -25,6 +25,7 @@ from piggybank import (
     p1_deposit,
     p1_init,
     p1_recover,
+    rsa_open,
 )
 
 N, E, D = 51, 3, 11
@@ -147,6 +148,22 @@ class TestRecover:
             p1_recover(state, Response1(good.deposit, (good.letter + 1) % 51))
         with pytest.raises(IntegrityError):
             p1_recover(state, Response1((good.deposit + 1) % 51, good.letter))
+
+    def test_multiplicative_check_matches_trapdoor_opening(self, desk_rsa):
+        # The public check s^e == letter refuses exactly the responses
+        # whose letter does not open to s under the trapdoor exponent.
+        params, secret = desk_rsa
+        state = p1_init(params, secret, Variant1.MULTIPLICATIVE, nonce=13)
+        for s in range(N):
+            deposit = state.challenge_sent * s % N
+            for letter in range(N):
+                opens = rsa_open(letter, secret) == s
+                try:
+                    assert p1_recover(state, Response1(deposit, letter)).secret == s
+                except IntegrityError:
+                    assert not opens, (s, letter)
+                else:
+                    assert opens, (s, letter)
 
     def test_response_range_validation(self, desk_rsa):
         params, secret = desk_rsa

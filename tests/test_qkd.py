@@ -162,6 +162,55 @@ class TestChannel:
             ChannelModel(eve_fraction=-0.1)
 
 
+def sifted_error_rate(model):
+    """The closed form e = f/4 + Q - Q*f/2 for noise Q and adversary
+    fraction f: a hit in the wrong basis errs half the time, a quarter
+    of all hits, and noise flips the rest of the bits."""
+    f, q = model.eve_fraction, model.p_noise
+    return f / 4 + q - q * f / 2
+
+
+class TestClosedForms:
+    """The simulator against BB84's closed forms, seeded, within 4.5
+    standard errors: goldens pin bytes, these pin the physics."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ChannelModel(p_noise=0.02, eve_fraction=0.04),
+            ChannelModel(p_noise=0.05, eve_fraction=0.5),
+        ],
+    )
+    def test_sifted_error_rate(self, model):
+        rng = Rng(12)
+        train, bob_bases = generate_round(400_000, rng)
+        pair = sift(train, bob_bases, channel_transmit(train, bob_bases, model, rng))
+        e = sifted_error_rate(model)
+        measured = np.count_nonzero(pair.alice_key != pair.bob_key) / len(pair)
+        assert abs(measured - e) < 4.5 * math.sqrt(e * (1 - e) / len(pair))
+
+    @pytest.mark.parametrize(
+        "pulses, model",
+        [
+            (64, ChannelModel(p_noise=0.02)),
+            (48, ChannelModel(p_noise=0.03, eve_fraction=0.2)),
+            (128, ChannelModel(p_noise=0.01, eve_fraction=0.05)),
+        ],
+    )
+    def test_mean_digest_rounds(self, pulses, model):
+        # A round is accepted when none of its pulses is both sifted (1/2)
+        # and in error (e), so rounds are geometric with mean 1/P.
+        accept = (1 - sifted_error_rate(model) / 2) ** pulses
+        # Every run draws fresh words, so runs on one stream are independent.
+        config, trials, rng = DigestConfig("sha256", 64), 3000, Rng(11)
+        rounds = [
+            run_digest_protocol(pulses, model, config, 10_000, rng).rounds
+            for _ in range(trials)
+        ]
+        spread = math.sqrt((1 - accept) / trials) / accept
+        assert abs(sum(rounds) / trials - 1 / accept) < 4.5 * spread
+
+
 class TestSift:
     def test_matches_index_oracle(self):
         rng = Rng(11)

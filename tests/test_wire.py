@@ -182,7 +182,9 @@ class TestFuzz:
 
     def test_mutated_frames_never_crash(self):
         rnd = random.Random(406)
-        base = encode_msg(Message(Protocol.TROPE, Kind.LETTER, (7, 0, 1 << 40), b"seal"))
+        base = encode_msg(
+            Message(Protocol.TROPE, Kind.LETTER, (7, 0, 1 << 40), b"seal")
+        )
         for _ in range(2000):
             frame = bytearray(base)
             frame[rnd.randrange(len(frame))] ^= 1 << rnd.randrange(8)
