@@ -164,8 +164,9 @@ class TestChannel:
 
 def sifted_error_rate(model):
     """The closed form e = f/4 + Q - Q*f/2 for noise Q and adversary
-    fraction f: a hit in the wrong basis errs half the time, a quarter
-    of all hits, and noise flips the rest of the bits."""
+    fraction f: half of her hits are in the wrong basis and half of
+    those err, so f/4 of the bits err before the noise, which inverts
+    each bit with chance Q: e = f/4 * (1 - Q) + (1 - f/4) * Q."""
     f, q = model.eve_fraction, model.p_noise
     return f / 4 + q - q * f / 2
 
