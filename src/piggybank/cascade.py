@@ -4,9 +4,8 @@ Alice and Bob hold nearly equal bit strings; Bob repairs his copy using
 block parities that Alice announces. A mismatched block is bisected down
 to the single wrong bit (announcing one half's parity per level; the
 other half's parity comes free). Later passes reshuffle the bits with a
-doubled block size, and every block whose parity was ever announced or
-inferred stays registered: when a flip lands inside an earlier block,
-that block's parity flips too, re-exposing any second error it was
+doubled block size, and earlier blocks stay registered: when a flip lands
+inside one, its parity flips too, re-exposing any second error it was
 masking. From pass 1 on, odd blocks go smallest first through a heap, so
 one repair can cascade across passes until no registered block is odd.
 
@@ -19,18 +18,29 @@ audited: flipping a bit that is not wrong raises CascadeAuditError.
 A block is an interval of its pass's order named by its registration
 serial, a plain int; its start, length and oddness live in flat lists
 indexed by that serial, which give Python's cyclic garbage collector
-nothing to track. A flip finds the blocks holding its bit from its
-position in each pass, so bookkeeping costs per block and per flip,
-never per bit. A pass registers its top-level blocks as it begins, their
-parities from one numpy reduction; the serials inside one are listed
-only when it is odd then or a flip first lands in it.
+nothing to track. A pass registers its top-level blocks as it begins,
+their parities from one numpy reduction, and keeps the position of each
+bit wrong then, as no other bit can be flipped. A flip finds the blocks
+holding its bit from its position in each pass.
 
-Three shortcuts change no output. Pass 0's odd blocks are disjoint and a
-flip in one touches no other, so they are bisected in one batch, in the
-heap's order but without it. Once the keys agree, no later pass is
-shuffled. Once a pass's single block spans the key and settles, every
-registered block is even, so each later pass would announce one parity
-and flip nothing: those passes are charged without being run.
+Only blocks that can turn odd again are registered, which changes no
+output. A half without a wrong bit stays even, as flips only clear wrong
+bits. A half a descent enters is tiled by the fixed leaf and by shorter
+registered siblings; the heap pops by (length, push order) and every odd
+registered block has an entry, so an entry the half could get would pop
+after they settle, with it even again. So a descent registers only the
+halves it passes by that still hold wrong bits: about 2,000 blocks per
+call, top-level ones included, on a qkd-cascade trial's 29,500 bits.
+
+Other shortcuts change no output either. Pass 0's odd blocks are disjoint
+and a flip in one touches no other, so they are bisected in one batch, in
+the heap's order but without it; a full-length one with a single wrong
+bit registers nothing and its descent ends at that bit, so those bits
+are cleared at once, each charged its depth from a table. Once the keys
+agree, no later pass is shuffled. Once a pass's single block spans the
+key and settles, every registered block is even, so each later pass
+would announce one parity and flip nothing: those passes are charged
+without being run.
 
 Disclosure accounting charges exactly one bit per parity Alice
 announces; inferred parities are free.
@@ -87,6 +97,14 @@ def initial_block_size(qber_hint: float, length: int) -> int:
 _CORRUPT = "flip at index {} would corrupt a correct bit"
 
 
+def _depths(length: int, memo: dict[int, list[int]]) -> list[int]:
+    """Halvings a descent takes to reach each offset of a block of `length`."""
+    if length not in memo:
+        mid = (length + 1) // 2
+        memo[length] = [d + 1 for d in _depths(mid, memo) + _depths(length - mid, memo)]
+    return memo[length]
+
+
 def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResult:
     """Repair Bob's key against Alice's, counting disclosed parity bits."""
     alice, bob_key = np.asarray(pair.alice_key), np.asarray(pair.bob_key)
@@ -107,24 +125,24 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     # Heap entries are (length, seq, serial, pass_no); (length, seq) is unique.
     heap: list[tuple[int, int, int, int]] = []
     # By serial: a block's start and length in its pass's order, and whether
-    # it holds an odd number of Bob's errors (1) or not (0). The nested
-    # functions that register blocks unpack these as locals, where += appends.
+    # it holds an odd number of Bob's errors (1) or not (0). descend, which
+    # registers blocks, unpacks these as locals, where += appends.
     fields = starts, lengths, is_odd = [], [], []
-    # Per pass: order, bit -> position, block size, the serials registered in
-    # each top-level block that has any (top first), Bob's errors in order,
-    # and the serial of its first top-level block.
+    # Per pass: order, bit -> position for the bits wrong at its start, block
+    # size, the serials registered inside each top-level block that has any,
+    # Bob's errors in order, and the serial of its first top-level block.
     passes: list[tuple] = []
 
     def flip(i: int) -> None:
         if not wrong[i]:
             raise CascadeAuditError(_CORRUPT.format(i))
         holders: list[tuple[int, int]] = []
-        for pass_no, (_, pos_of, size, tops, errs, base) in enumerate(passes):
-            p = int(pos_of[i])
+        for k, (_, pos_of, size, tops, errs, base) in enumerate(passes):
+            p = pos_of[i]
             errs[p] = 0
-            t = p // size
-            into = tops.get(t) or tops.setdefault(t, [base + t])
-            holders += [(s, pass_no) for s in into if 0 <= p - starts[s] < lengths[s]]
+            holders.append((base + p // size, k))  # the top-level block
+            if into := tops.get(p // size):
+                holders += [(s, k) for s in into if 0 <= p - starts[s] < lengths[s]]
         # Registration order, the order the heap's tie-breaks are pinned to.
         for s, pass_no in sorted(holders):
             is_odd[s] ^= 1
@@ -132,28 +150,31 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
                 heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
 
     def descend(s: int, pass_no: int) -> int:
-        # Bisect the odd block s, registering both halves at each level, and
-        # return the position of its wrong bit in the pass's order.
+        # Bisect the odd block s, registering the halves passed by that hold
+        # wrong bits, and return the position of its wrong bit in the pass's order.
         nonlocal disclosed
         starts, lengths, is_odd = fields
         start, length = starts[s], lengths[s]
         _, _, size, tops, errs, _ = passes[pass_no]
-        into, s = tops[start // size], len(starts)
+        aside, left = [], errs.count(1, start, start + length)
         while length > 1:
             mid = (length + 1) // 2
             disclosed += 1  # Alice announces the first half's parity
-            odd = errs.count(1, start, start + mid) & 1
-            into += s, s + 1
-            s += 2
-            starts += start, start + mid
-            lengths += mid, length - mid
-            is_odd += odd, odd ^ 1  # the second half's comes free
-            # The odd half gets no heap entry: it is tiled by the leaf fixed after
-            # the descent and by shorter siblings, all even before it could pop.
-            if odd:
-                length = mid
+            first = errs.count(1, start, start + mid)
+            if first & 1:
+                if left - first:  # the half passed by holds wrong bits
+                    aside += start + mid, length - mid
+                length, left = mid, first
             else:
-                start, length = start + mid, length - mid
+                if first:
+                    aside += start, mid
+                start, length, left = start + mid, length - mid, left - first
+        if aside:
+            serials = range(len(starts), len(starts) + len(aside) // 2)
+            tops.setdefault(starts[s] // size, []).extend(serials)
+            starts += aside[::2]
+            lengths += aside[1::2]
+            is_odd += [0] * len(serials)
         return start
 
     k1, rng = initial_block_size(config.qber_hint, n), Rng(config.shuffle_seed)
@@ -170,31 +191,39 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
         order = pos_of = range(n)
         along, errs = errors, wrong
         if pass_no:
+            # Positions of the bits wrong now, as no other bit can be flipped.
             order = rng.derive(pass_no + 1).np.permutation(n)
-            pos_of = np.empty(n, dtype=np.intp)
-            pos_of[order] = np.arange(n)
             along = errors[order]
+            at = np.flatnonzero(along)
+            pos_of = dict(zip(order[at].tolist(), at.tolist()))
             errs = bytearray(along)
         base, cuts, tops = len(starts), np.arange(0, n, size), {}
         passes.append((order, pos_of, size, tops, errs, base))
-        top_odd = np.bitwise_xor.reduceat(along, cuts)
+        counts = np.add.reduceat(along, cuts, dtype=np.intp)
         starts += range(0, n, size)
         lengths += np.diff(cuts, append=n).tolist()
-        is_odd += top_odd.tolist()
-        odd = np.flatnonzero(top_odd)
+        is_odd += (counts & 1).tolist()
         if not pass_no:
             # Pass 0's odd top blocks are disjoint, so they settle one after
             # another in the heap's order; every block of the pass ends even.
-            for t in sorted(odd.tolist(), key=lengths.__getitem__):
-                tops[t] = [t]
+            # A full-length block with one wrong bit registers nothing and its
+            # descent ends at that bit, so all of those settle at once.
+            lone = counts == 1
+            lone[n // size :] = False  # a short tail descends as usual
+            bits = np.flatnonzero(errors)
+            bits = bits[lone[bits // size]]
+            if bits.size:  # charge each bit's depth in a full block
+                disclosed += int(np.array(_depths(size, {1: [0]}))[bits % size].sum())
+            errors[bits] = 0
+            odd = np.flatnonzero(counts & ~lone & 1).tolist()
+            for t in sorted(odd, key=lengths.__getitem__):
                 leaf = descend(t, 0)
                 if not wrong[leaf]:
                     raise CascadeAuditError(_CORRUPT.format(leaf))
                 wrong[leaf] = 0
             is_odd[:] = [0] * len(is_odd)
             continue
-        for s in (base + odd).tolist():
-            tops[s - base] = [s]
+        for s in (base + np.flatnonzero(counts & 1)).tolist():
             heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
         # Smallest odd block first; entries of blocks since repaired are stale.
         while heap:

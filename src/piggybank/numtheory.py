@@ -328,10 +328,12 @@ def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
 
     Each prime is drawn with gcd(e, p-1) = 1, which makes gcd(e, phi) = 1;
     pairs are resampled until the primes differ and n has full width.
-    Up to 16 bits every prime pair is listed first, without drawing from
-    rng, and a width and e that no pair admits raise ValueError (bits 8
-    with e = 3 or 5: the only candidates are 11 and 13, phi = 120). Wider
-    moduli are not listed; the loop ends once some drawn pair passes.
+    Up to 32 bits the admissible primes of each half width are listed
+    first, without drawing from rng: if the largest product of two
+    distinct ones falls short of full width, no pair admits a key and
+    ValueError is raised (bits 8 with e = 3 or 5: the only candidates are
+    11 and 13, phi = 120). Wider moduli are not listed; the loop ends once
+    some drawn pair passes.
     """
     if bits < 8:
         raise ValueError("modulus below 8 bits cannot hold two distinct primes")
@@ -339,14 +341,14 @@ def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
         raise ValueError("encryption exponent must be odd and at least 3")
     half_hi = (bits + 1) // 2
     half_lo = bits // 2
-    if bits <= 16 and not any(
-        p != q and (p * q).bit_length() == bits and gcd(e, (p - 1) * (q - 1)) == 1
-        for p in _SMALL_PRIMES
-        if p.bit_length() == half_hi
-        for q in _SMALL_PRIMES
-        if q.bit_length() == half_lo
-    ):
-        raise ValueError(f"no {bits}-bit modulus has gcd(e, phi) = 1 for e = {e}")
+    if bits <= 32:
+        # The two largest admissible primes of each half width hold the
+        # largest product of two distinct ones.
+        fit = [p for p in _sieve(1 << half_hi) if gcd(e, p - 1) == 1]
+        hi = [p for p in fit if p.bit_length() == half_hi][-2:]
+        lo = [p for p in fit if p.bit_length() == half_lo][-2:]
+        if max((p * q for p in hi for q in lo if p != q), default=0) < 1 << bits - 1:
+            raise ValueError(f"no {bits}-bit modulus has gcd(e, phi) = 1 for e = {e}")
     while True:
         p = _random_prime(half_hi, e, rng)
         q = _random_prime(half_lo, e, rng)

@@ -7,6 +7,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -484,6 +485,82 @@ class TestAgainstReference:
             _reference_reconcile(alice, bob, config, reached)
             seen.update(reached)
         assert len(seen) == 2 and min(seen.values()) >= 5, seen
+
+
+def _workload_scale_cases():
+    # Keys the size of a qkd-cascade trial's remainder, 2-4% wrong, the hint
+    # within 15% of the true rate.
+    g = Rng(23)
+    for _ in range(8):
+        n = int(g.np.integers(25_000, 30_001))
+        rate = float(g.np.uniform(0.02, 0.04))
+        alice = g.np.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (g.np.random(n) < rate).astype(np.uint8)
+        hint = rate * float(g.np.uniform(0.85, 1.15))
+        yield alice, bob, CascadeConfig(4, hint, g.getrandbits(64))
+
+
+def _fuzz_cases(count: int):
+    # Short dense keys; CI runs 3,000 of them (CASCADE_FUZZ_CASES=3000).
+    g = Rng(4242)
+    for _ in range(count):
+        n = int(g.np.integers(16, 401))
+        rate = float(g.np.uniform(0.05, 0.45))
+        hint = rate * float(g.np.uniform(0.2, 1.5)) * (g.randbelow(4) > 0)
+        alice = g.np.integers(0, 2, n, dtype=np.uint8)
+        bob = alice ^ (g.np.random(n) < rate).astype(np.uint8)
+        passes = int(g.np.integers(2, 8))
+        yield alice, bob, CascadeConfig(passes, hint, g.getrandbits(64))
+
+
+class TestAgainstReferenceAtScale:
+    """Pass 0's lone-error blocks settle in bulk and a descent registers only
+    the halves it passes by that hold wrong bits; these cases check both
+    against the reference, which registers every half."""
+
+    CASES = list(_workload_scale_cases())
+
+    def test_workload_scale_keys_match_reference(self):
+        for alice, bob, config in self.CASES:
+            result = cascade_reconcile(make_pair(alice, bob), config)
+            key, disclosed, success = _reference_reconcile(alice, bob, config)
+            assert np.array_equal(result.corrected_bob_key, key), config
+            assert (result.parities_disclosed, result.success) == (disclosed, success)
+
+    def test_cases_reach_the_pass0_edges(self):
+        tails = triples = 0
+        for alice, bob, config in self.CASES:
+            n, errors = alice.size, (alice ^ bob).astype(int)
+            k1 = initial_block_size(config.qber_hint, n)
+            per_block = np.add.reduceat(errors, np.arange(0, n, k1))
+            tails += bool(n % k1 and per_block[-1] % 2)
+            triples += bool((per_block[: n // k1] >= 3).any())
+        assert tails >= 2 and triples == len(self.CASES)
+
+    def test_fuzzed_dense_keys_match_reference(self):
+        count = int(os.environ.get("CASCADE_FUZZ_CASES", "200"))
+        for alice, bob, config in _fuzz_cases(count):
+            result = cascade_reconcile(make_pair(alice, bob), config)
+            key, disclosed, success = _reference_reconcile(alice, bob, config)
+            assert np.array_equal(result.corrected_bob_key, key), config
+            assert (result.parities_disclosed, result.success) == (disclosed, success)
+
+
+class TestEfficiency:
+    """Cascade's leak against the Shannon bound, f_EC = disclosed / (n h(Q)),
+    measured at about 1.1-1.2 for 4 passes with the hint at the true rate."""
+
+    @pytest.mark.parametrize("q", [0.01, 0.02, 0.04, 0.06, 0.08])
+    def test_disclosure_near_the_shannon_bound(self, q):
+        n, g = 10_000, Rng(int(q * 1000))
+        h = -q * math.log2(q) - (1 - q) * math.log2(1 - q)
+        for _ in range(4):
+            alice = g.np.integers(0, 2, n, dtype=np.uint8)
+            bob = alice.copy()
+            bob[g.np.permutation(n)[: round(q * n)]] ^= 1  # exactly q * n wrong
+            config = CascadeConfig(4, q, g.getrandbits(64))
+            result = cascade_reconcile(make_pair(alice, bob), config)
+            assert 1.05 <= result.parities_disclosed / (n * h) <= 1.25, config
 
 
 class TestPassesPastTheSpanningPass:

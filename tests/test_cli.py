@@ -5,6 +5,7 @@ exercises the installed console entry through subprocesses.
 """
 
 import json
+import math
 import os
 import socket
 import subprocess
@@ -188,6 +189,13 @@ class TestKeygen:
     def test_rsa_width_no_pair_admits(self, capsys, e):
         assert main(f"keygen rsa --bits 8 --e {e} --seed 1".split()) == 2
         assert "no 8-bit modulus" in capsys.readouterr().err
+
+    def test_rsa_width_over_16_bits_no_prime_admits(self, capsys):
+        # Every 10-bit prime p has an odd prime below 512 dividing p - 1, since
+        # 513 is not prime; this used to draw candidates forever.
+        e = math.prod(p for p in range(3, 512, 2) if all(p % d for d in range(3, p, 2)))
+        assert main(f"keygen rsa --bits 20 --e {e} --seed 1".split()) == 2
+        assert "no 20-bit modulus" in capsys.readouterr().err
 
     def test_dh_prime_is_safe(self, capsys):
         assert main("keygen dh --bits 8 --seed 1".split()) == 0
