@@ -192,7 +192,7 @@ class TestKeygen:
 
     def test_rsa_width_over_16_bits_no_prime_admits(self, capsys):
         # Every 10-bit prime p has an odd prime below 512 dividing p - 1, since
-        # 513 is not prime; this used to draw candidates forever.
+        # 513 is not prime, so drawing candidates would never end.
         e = math.prod(p for p in range(3, 512, 2) if all(p % d for d in range(3, p, 2)))
         assert main(f"keygen rsa --bits 20 --e {e} --seed 1".split()) == 2
         assert "no 20-bit modulus" in capsys.readouterr().err
