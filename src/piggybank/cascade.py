@@ -194,7 +194,7 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             # Positions of the bits wrong now, as no other bit can be flipped.
             order = rng.derive(pass_no + 1).np.permutation(n)
             along = errors[order]
-            at = np.flatnonzero(along)
+            at = np.flatnonzero(along.view(bool))
             pos_of = dict(zip(order[at].tolist(), at.tolist()))
             errs = bytearray(along)
         base, cuts, tops = len(starts), np.arange(0, n, size), {}
@@ -210,7 +210,7 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             # descent ends at that bit, so all of those settle at once.
             lone = counts == 1
             lone[n // size :] = False  # a short tail descends as usual
-            bits = np.flatnonzero(errors)
+            bits = np.flatnonzero(errors.view(bool))
             bits = bits[lone[bits // size]]
             if bits.size:  # charge each bit's depth in a full block
                 disclosed += int(np.array(_depths(size, {1: [0]}))[bits % size].sum())

@@ -10,9 +10,11 @@ Two post-processing strategies are compared on identical channels:
     key and throw the round away on mismatch, repeating until a round
     survives.
 
-The cascade arm draws each round with generate_round, channel_transmit
-and sift; the digest arm decodes blocks of rounds from raw PCG64 words
-as they would. A scenario and its Rng's seed reproduce byte-identical reports.
+The channel physics runs on packed 64-bit words, bit j of word k being
+pulse 64k + j. The cascade arm draws each round with generate_round,
+channel_transmit and sift; the digest arm decodes, sifts and packs whole
+blocks of rounds from raw PCG64 words as they would. A scenario and its
+Rng's seed reproduce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -71,12 +73,20 @@ class SiftedPair:
         return int(self.alice_key.size)
 
 
-def _random_bits(take, n: int) -> np.ndarray:
-    """n random bits from the next ceil(n/64) raw PCG64 words that
-    `take(count)` returns, least significant bit of each word first, as
-    uint8 0s and 1s along the words' last axis."""
-    octets = take(-(-n // 64)).astype("<u8", copy=False).view(np.uint8)
+def _bits(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of uint64 words along their last axis, least
+    significant bit of each word first (bit j of word k is pulse 64k + j),
+    as uint8 0s and 1s."""
+    octets = words.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(octets, axis=-1, bitorder="little")[..., :n]
+
+
+def _words(flags: np.ndarray, count: int) -> np.ndarray:
+    """_bits' inverse: `count` words per row of flags along the last axis,
+    a nonzero flag a set bit, the spare bits clear."""
+    octets = np.zeros(flags.shape[:-1] + (8 * count,), np.uint8)
+    octets[..., : -(-flags.shape[-1] // 8)] = np.packbits(flags, -1, "little")
+    return octets.view("<u8")
 
 
 def _random_below(take, n: int, p: float) -> np.ndarray:
@@ -89,11 +99,12 @@ def _random_below(take, n: int, p: float) -> np.ndarray:
 
 def generate_round(n_pulses: int, rng: Rng) -> tuple[PulseTrain, np.ndarray]:
     """Alice's random bits and bases, and Bob's independent basis choices,
-    drawn in that order as _random_bits arrays of rng's raw words."""
+    drawn in that order, each the _bits of the next ceil(n_pulses/64) of
+    rng's raw words."""
     if n_pulses < 1:
         raise ValueError("need at least one pulse")
-    take = rng.np.bit_generator.random_raw
-    bits, bases, bob_bases = (_random_bits(take, n_pulses) for _ in range(3))
+    take, count = rng.np.bit_generator.random_raw, -(-n_pulses // 64)
+    bits, bases, bob_bases = (_bits(take(count), n_pulses) for _ in range(3))
     return PulseTrain(bits, bases), bob_bases
 
 
@@ -112,14 +123,10 @@ def channel_transmit(
     for values in (train.bits, train.bases, bob_bases):
         if values.dtype.kind not in "biu" or not ((values == 0) | (values == 1)).all():
             raise ValueError("bits and bases must be integer arrays of 0s and 1s")
+    count = -(-n // 64)
+    words = [_words(values, count) for values in (train.bits, train.bases, bob_bases)]
     take = rng.np.bit_generator.random_raw
-    return _measure(take, train.bits, train.bases, bob_bases, model)
-
-
-def _select(cond: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.where(cond, a, b) for integer arrays, without branching per
-    element: on a random mask np.where runs about 20x slower."""
-    return b ^ ((a ^ b) * cond)
+    return _bits(_measure(take, *words, model, n), n)
 
 
 def _measure(
@@ -128,31 +135,36 @@ def _measure(
     bases: np.ndarray,
     bob_bases: np.ndarray,
     model: ChannelModel,
+    n: int,
 ) -> np.ndarray:
-    """The channel physics over arrays of pulses along their last axis,
-    one round or many, drawn from the raw words `take(count)` returns in
-    this order: the adversary's hits, bases and random outcomes (only
-    when eve_fraction > 0), Bob's random outcomes, then the noise flips
-    (only when p_noise > 0).
+    """The channel physics over the words of n pulses, laid out as _bits
+    reads them, along their last axis, one round or many, drawn from the
+    raw words `take(count)` returns in this order: the adversary's hits,
+    bases and random outcomes (only when eve_fraction > 0), Bob's random
+    outcomes, then the noise flips (only when p_noise > 0). Returns Bob's
+    bits as words, their spare bits arbitrary.
 
     A measurement in the pulse's own basis reproduces its bit; any basis
     mismatch yields the random outcome drawn for it. The adversary, on
     the pulses she hits, resends in her measurement basis, so her wrong
     guesses poison Bob's statistics even where his basis matches
-    Alice's. A noise flip inverts Bob's bit.
+    Alice's. A noise flip inverts Bob's bit. Each choice is a select on
+    words, b ^ ((a ^ b) & m) taking a where m is set.
     """
-    n = bits.shape[-1]
+    count = bits.shape[-1]
     send_bits, send_bases = bits, bases
     if model.eve_fraction > 0.0:
-        hit = _random_below(take, n, model.eve_fraction)
-        eve_bases, eve_noise = _random_bits(take, n), _random_bits(take, n)
-        eve_bits = _select(eve_bases == bases, bits, eve_noise)
-        send_bits = _select(hit, eve_bits, bits)
-        send_bases = _select(hit, eve_bases, bases)
-    bob_bits = _select(bob_bases == send_bases, send_bits, _random_bits(take, n))
+        hit = _words(_random_below(take, n, model.eve_fraction), count)
+        eve_bases, eve_noise = take(count), take(count)
+        # A hit in the other basis resends her basis and random outcome.
+        swapped = (eve_bases ^ bases) & hit
+        send_bits = bits ^ ((eve_noise ^ bits) & swapped)
+        send_bases = bases ^ swapped
+    outcomes = take(count)
+    bob_bits = send_bits ^ ((outcomes ^ send_bits) & (bob_bases ^ send_bases))
     if model.p_noise > 0.0:
-        bob_bits ^= _random_below(take, n, model.p_noise)
-    return bob_bits.astype(np.uint8, copy=False)
+        bob_bits ^= _words(_random_below(take, n, model.p_noise), count)
+    return bob_bits
 
 
 def sift(
@@ -184,8 +196,8 @@ def estimate_qber(
     sampled = np.zeros(n, dtype=bool)
     sampled[rng.np.choice(n, m, replace=False)] = True
     errors = int(np.count_nonzero((pair.alice_key != pair.bob_key) & sampled))
-    rest = ~sampled
-    return errors / m, SiftedPair(pair.alice_key[rest], pair.bob_key[rest])
+    rest = np.flatnonzero(~sampled)
+    return errors / m, SiftedPair(pair.alice_key.take(rest), pair.bob_key.take(rest))
 
 
 @dataclass(frozen=True)
@@ -241,59 +253,68 @@ def _round_words(n_pulses: int, model: ChannelModel) -> int:
     return (4 + 2 * eve) * -(-n_pulses // 64) + (eve + noisy) * -(-n_pulses // 2)
 
 
+# Each byte value's count of set bits.
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], 1).sum(1, np.uint8)
+
+
 def _sifted_rounds(
     words: np.ndarray, n_pulses: int, model: ChannelModel
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+) -> tuple[bytes, bytes, list[int], list[int]]:
     """Both sifted keys of each round whose raw words are a row of
     `words`, as generate_round, channel_transmit and sift make them from
     those words.
 
-    Returns every round's keys end to end, Alice's and Bob's, and the
-    index where each round's keys end.
+    Returns all rounds' keys end to end as np.packbits bytes, each key
+    padded with 0 bits to whole bytes, Alice's and Bob's; each key's
+    length in bits; and the byte index where each round's keys end.
     """
     rows = words.reshape(-1, _round_words(n_pulses, model))
-    used = 0
+    count, used = -(-n_pulses // 64), 0
 
     def take(count: int) -> np.ndarray:  # the next `count` words of every row
         nonlocal used
         used += count
         return rows[:, used - count : used]
 
-    bits, bases, bob_bases = (_random_bits(take, n_pulses) for _ in range(3))
-    bob_bits = _measure(take, bits, bases, bob_bases, model)
-    kept = np.flatnonzero(bases == bob_bases)
-    ends = np.searchsorted(kept, np.arange(1, len(rows) + 1) * n_pulses).tolist()
-    return bits.take(kept), bob_bits.take(kept), ends
-
-
-def _packed_rows(keys: np.ndarray, ends: list[int]) -> list[bytes]:
-    """np.packbits(keys[start:end]).tobytes() for each row of the flat
-    `keys` that ends at an index in `ends`, from one packbits call."""
-    top = -(-keys.size // 8) * 8
-    whole = int.from_bytes(np.packbits(keys).tobytes(), "big")
-    rows, start = [], 0
-    for end in ends:  # key bit i is bit top - 1 - i of whole
-        size = end - start
-        nbytes = -(-size // 8)
-        row = (whole >> (top - end)) & ((1 << size) - 1)
-        rows.append((row << (nbytes * 8 - size)).to_bytes(nbytes, "big"))
-        start = end
-    return rows
+    bits, bases, bob_bases = (take(count) for _ in range(3))
+    bob_bits = _measure(take, bits, bases, bob_bases, model, n_pulses)
+    sifted = ~(bases ^ bob_bases)
+    if n_pulses % 64:
+        sifted[:, -1] &= np.uint64((1 << n_pulses % 64) - 1)
+    # Each row's sift mask, bits and Bob's bits as bytes, then one byte
+    # that keeps 0-valued pulses to pad the row's keys to whole bytes.
+    octets = np.zeros((3, len(rows), 8 * count + 1), np.uint8)
+    for plane, values in zip(octets, (sifted, bits, bob_bits)):
+        plane[:, :-1] = values.astype("<u8", copy=False).view(np.uint8)
+    sizes = _POPCOUNT.take(octets[0]).sum(axis=1, dtype=np.intp)
+    octets[0, :, -1] = (1 << -sizes % 8) - 1
+    pulses = np.unpackbits(octets, axis=-1, bitorder="little")
+    # Alice's bit plus twice Bob's, on uint8 (adds run faster than shifts)
+    both = pulses[1] + pulses[2] + pulses[2]
+    kept = both.take(np.flatnonzero(pulses[0].view(bool)))
+    alice, bob = (np.packbits(kept & side).tobytes() for side in (1, 2))
+    return alice, bob, sizes.tolist(), np.cumsum((sizes + 7) // 8).tolist()
 
 
 def _first_agreeing(
-    alice_keys: np.ndarray, bob_keys: np.ndarray, ends: list[int], config: DigestConfig
+    alice: bytes, bob: bytes, sizes: list[int], ends: list[int], config: DigestConfig
 ) -> int | None:
-    """The first row, as in _packed_rows, whose two keys' key_digest
-    agree, or None if none does. Each row's keys are hashed from copies
-    of one hash object."""
+    """The first row, as _sifted_rounds returns them, whose two keys'
+    key_digest agree, or None if none does: both keys of every row up to
+    it are hashed, from copies of one hash object fed the row's bit count,
+    and their digests compared on the first truncate_bits bits."""
     fresh = hashlib.new(config.hash_id)
+    last = (config.truncate_bits - 1) // 8  # the last digest byte compared
+    spare = 8 * last + 8 - config.truncate_bits  # and its bits past the cut
     start = 0
-    rows = zip(_packed_rows(alice_keys, ends), _packed_rows(bob_keys, ends), ends)
-    for row, (alice_row, bob_row, end) in enumerate(rows):
-        size = end - start
-        alice = _digest(size, alice_row, fresh.copy(), config)
-        if alice == _digest(size, bob_row, fresh.copy(), config):
+    for row, (size, end) in enumerate(zip(sizes, ends)):
+        bob_hash = fresh.copy()
+        bob_hash.update(size.to_bytes(8, "big"))
+        alice_hash = bob_hash.copy()
+        alice_hash.update(alice[start:end])
+        bob_hash.update(bob[start:end])
+        a, b = alice_hash.digest(), bob_hash.digest()
+        if a[:last] == b[:last] and not (a[last] ^ b[last]) >> spare:
             return row
         start = end
     return None
@@ -312,12 +333,12 @@ def run_digest_protocol(
     Raises NoKeyError when max_rounds rounds all fail.
 
     Rounds are drawn as raw words in blocks of 1, 2, 4, ... rounds (at
-    most _BLOCK_WORDS words unless one round needs more) and decoded at
-    once. Each side's keys are packed once per block, and the rounds are
-    checked in order up to the first that agrees (_first_agreeing). The
-    result is the round-by-round loop of generate_round, channel_transmit
-    and sift's; the stream may be drawn past the accepted round, so what
-    it holds afterwards is not part of the result.
+    most _BLOCK_WORDS words unless one round needs more), and each block
+    is sifted and packed at once (_sifted_rounds); its rounds are checked
+    in order up to the first that agrees (_first_agreeing). The result is
+    the round-by-round loop of generate_round, channel_transmit and
+    sift's; the stream may be drawn past the accepted round, so what it
+    holds afterwards is not part of the result.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
@@ -328,17 +349,13 @@ def run_digest_protocol(
     while done < max_rounds:
         count = min(block, max_rounds - done, max(1, _BLOCK_WORDS // per_round))
         words = rng.np.bit_generator.random_raw(count * per_round)
-        alice_keys, bob_keys, ends = _sifted_rounds(words, n_pulses, model)
-        row = _first_agreeing(alice_keys, bob_keys, ends, config)
+        alice, bob, sizes, ends = _sifted_rounds(words, n_pulses, model)
+        row = _first_agreeing(alice, bob, sizes, ends, config)
         if row is not None:
-            start, end = ends[row - 1] if row else 0, ends[row]
-            rounds = done + row + 1
-            return DigestRun(
-                alice_keys[start:end].copy(),
-                bob_keys[start:end].copy(),
-                rounds,
-                rounds * n_pulses,
-            )
+            cut, rounds = slice(ends[row - 1] if row else 0, ends[row]), done + row + 1
+            keys = (np.frombuffer(side[cut], np.uint8) for side in (alice, bob))
+            alice_key, bob_key = (np.unpackbits(key, count=sizes[row]) for key in keys)
+            return DigestRun(alice_key, bob_key, rounds, rounds * n_pulses)
         done += count
         block *= 2
     raise NoKeyError(max_rounds, max_rounds * n_pulses)

@@ -10,6 +10,7 @@ import hashlib
 import io
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -162,6 +163,65 @@ class TestChannel:
             ChannelModel(eve_fraction=-0.1)
 
 
+def _pulse_by_pulse_channel(bits, bases, bob_bases, model, rng):
+    """channel_transmit as the README states the physics and the raw-word
+    layout, one pulse at a time: np.where selects, and each draw's bit
+    read from its raw word with Python integers."""
+    n = len(bits)
+    bits, bases, bob_bases = (np.asarray(a, np.int64) for a in (bits, bases, bob_bases))
+    take = rng.np.bit_generator.random_raw
+
+    def random_bits():
+        words = take(-(-n // 64)).tolist()
+        return np.array([words[i // 64] >> (i % 64) & 1 for i in range(n)])
+
+    def random_below(p):
+        words = take(-(-n // 2)).tolist()
+        halves = [words[i // 2] >> (32 * (i % 2)) & 0xFFFFFFFF for i in range(n)]
+        return np.array(halves) <= math.ceil(p * 2**32) - 1
+
+    send_bits, send_bases = bits, bases
+    if model.eve_fraction > 0:
+        hit = random_below(model.eve_fraction)
+        eve_bases, eve_outcomes = random_bits(), random_bits()
+        eve_bits = np.where(eve_bases == bases, bits, eve_outcomes)
+        send_bits = np.where(hit, eve_bits, bits)
+        send_bases = np.where(hit, eve_bases, bases)
+    bob_bits = np.where(bob_bases == send_bases, send_bits, random_bits())
+    if model.p_noise > 0:
+        bob_bits = np.where(random_below(model.p_noise), 1 - bob_bits, bob_bits)
+    return bob_bits
+
+
+class TestChannelOracle:
+    """channel_transmit computes on packed words; the oracle above works
+    pulse by pulse, so a slip the word code and the digest arm share
+    still shows here."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 1000])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ChannelModel(),
+            ChannelModel(p_noise=0.1),
+            ChannelModel(eve_fraction=0.4),
+            ChannelModel(p_noise=0.1, eve_fraction=0.4),
+        ],
+        ids=["quiet", "noisy", "eve", "eve-noisy"],
+    )
+    def test_matches_pulse_by_pulse_physics(self, n, model):
+        pick = np.random.default_rng(n)
+        for dtype in (np.uint8, bool, np.int64):
+            bits, bases, bob_bases = pick.integers(0, 2, (3, n)).astype(dtype)
+            ours, oracle = Rng(n), Rng(n)
+            got = channel_transmit(PulseTrain(bits, bases), bob_bases, model, ours)
+            want = _pulse_by_pulse_channel(bits, bases, bob_bases, model, oracle)
+            assert got.dtype == np.uint8 and got.tolist() == want.tolist(), dtype
+            # Both drew the same raw words: the streams go on alike.
+            following = [r.np.bit_generator.random_raw(2) for r in (ours, oracle)]
+            assert np.array_equal(*following), dtype
+
+
 def sifted_error_rate(model):
     """The closed form e = f/4 + Q - Q*f/2 for noise Q and adversary
     fraction f: half of her hits are in the wrong basis and half of
@@ -294,9 +354,9 @@ class TestKeyDigest:
     @pytest.mark.parametrize("hash_id", ["sha256", "sha3_256", "blake2b"])
     @pytest.mark.parametrize("truncate_bits", [32, 33, 256])
     def test_block_rows_match_key_digest(self, hash_id, truncate_bits):
-        # Rows cut from one packed block, some empty and most not a whole
-        # number of bytes, hash as key_digest hashes each row alone, and
-        # _first_agreeing finds the row a key_digest loop finds.
+        # Rows of a block, some empty and most not a whole number of bytes,
+        # each packed alone and the rows joined, hash as key_digest hashes
+        # each row, and _first_agreeing finds the row a key_digest loop finds.
         config = DigestConfig(hash_id, truncate_bits)
         pick = np.random.default_rng(truncate_bits)
         for _ in range(30):
@@ -304,17 +364,22 @@ class TestKeyDigest:
             ends = np.cumsum(pick.choice(sizes, pick.integers(1, 9))).tolist()
             alice = pick.integers(0, 2, ends[-1], dtype=np.uint8)
             bob = alice ^ (pick.random(ends[-1]) < pick.choice([0.0, 0.002, 0.05]))
-            want, start = None, 0
-            rows = qkd._packed_rows(alice, ends)
-            for row, (end, packed) in enumerate(zip(ends, rows)):
-                assert packed == np.packbits(alice[start:end]).tobytes()
+            want, start, rows = None, 0, []
+            for row, end in enumerate(ends):
+                packed = np.packbits(alice[start:end]).tobytes()
+                bob_packed = np.packbits(bob[start:end]).tobytes()
+                rows.append((end - start, packed, bob_packed))
                 digest = key_digest(alice[start:end], config)
                 fresh = hashlib.new(hash_id)
                 assert qkd._digest(end - start, packed, fresh, config) == digest
                 if want is None and digest == key_digest(bob[start:end], config):
                     want = row
                 start = end
-            assert qkd._first_agreeing(alice, bob, ends, config) == want
+            lengths, alice_rows, bob_rows = zip(*rows)
+            byte_ends = np.cumsum([len(packed) for packed in alice_rows]).tolist()
+            keys = b"".join(alice_rows), b"".join(bob_rows)
+            got = qkd._first_agreeing(*keys, list(lengths), byte_ends, config)
+            assert got == want
 
     def test_colliding_digests_accept_unequal_keys(self):
         # Two 61-bit keys whose sha256 digests share their top 32 bits but
@@ -325,10 +390,11 @@ class TestKeyDigest:
             for x in (0x1DBDD21AD90F7F1B, 0x1EA1046DDA809BCD)
         )
         first = np.zeros(10, dtype=np.uint8)
-        alice, bob = np.concatenate([first, alice]), np.concatenate([first ^ 1, bob])
-        ends = [10, 71]
-        assert qkd._first_agreeing(alice, bob, ends, DigestConfig("sha256", 32)) == 1
-        assert qkd._first_agreeing(alice, bob, ends, DigestConfig("sha256", 33)) is None
+        rows = ((first, first ^ 1), (alice, bob))
+        keys = (b"".join(np.packbits(k).tobytes() for k in side) for side in zip(*rows))
+        args = (*keys, [10, 61], [2, 10])  # each row's bit count and byte end
+        assert qkd._first_agreeing(*args, DigestConfig("sha256", 32)) == 1
+        assert qkd._first_agreeing(*args, DigestConfig("sha256", 33)) is None
 
     def test_truncation_keeps_top_bits(self):
         key = Rng(24).np.integers(0, 2, 64, dtype=np.uint8)
@@ -783,7 +849,9 @@ class TestDigestGolden:
             46, "b8becec3c0c80041"
         )
 
-    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize(  # CI runs 3,000 seeds (DIGEST_FUZZ_CASES=3000)
+        "seed", range(int(os.environ.get("DIGEST_FUZZ_CASES", 40)))
+    )
     def test_matches_round_by_round_reference(self, seed):
         blocked, reference = _blocked_and_reference(seed, DigestConfig("sha256", 64))
         assert blocked == reference
