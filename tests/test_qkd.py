@@ -849,6 +849,26 @@ class TestDigestGolden:
             46, "b8becec3c0c80041"
         )
 
+    @pytest.mark.parametrize("pulses", [1, 7, 64, 65, 200])
+    @pytest.mark.parametrize("noise, eve", [(0.0, 0.0), (0.05, 0.0), (0.05, 0.3)])
+    def test_block_rows_are_the_per_call_keys_packed(self, pulses, noise, eve):
+        # Every row of a decoded block, accepted or not, holds np.packbits of
+        # the keys generate_round, channel_transmit and sift make from it.
+        model, rounds = ChannelModel(noise, eve), 9
+        per_round = qkd._round_words(pulses, model)
+        words = Rng(pulses).np.bit_generator.random_raw(rounds * per_round)
+        alice, bob, sizes, ends = qkd._sifted_rounds(words, pulses, model)
+        rng, start = Rng(pulses), 0
+        for size, end in zip(sizes, ends):
+            train, bob_bases = generate_round(pulses, rng)
+            bob_bits = channel_transmit(train, bob_bases, model, rng)
+            pair = sift(train, bob_bases, bob_bits)
+            assert size == len(pair)
+            assert alice[start:end] == np.packbits(pair.alice_key).tobytes()
+            assert bob[start:end] == np.packbits(pair.bob_key).tobytes()
+            start = end
+        assert len(sizes) == rounds and start == len(alice) == len(bob)
+
     @pytest.mark.parametrize(  # CI runs 3,000 seeds (DIGEST_FUZZ_CASES=3000)
         "seed", range(int(os.environ.get("DIGEST_FUZZ_CASES", 40)))
     )
