@@ -9,19 +9,25 @@ inside one, its parity flips too, re-exposing any second error it was
 masking. From pass 1 on, odd blocks go smallest first through a heap, so
 one repair can cascade across passes until no registered block is odd.
 
+A real Cascade derives each pass's whole permutation from a public seed.
+A correct bit's place changes no parity, so the simulator draws slots
+only for the w bits wrong as a pass begins, Generator.choice(n, w,
+replace=False) taken in ascending bit order: a uniformly random injection
+into the n slots, a full permutation restricted to those bits.
+
 Alice's key doubles as ground truth in this simulator, so the only state
 is which of Bob's bits are wrong: one bytearray by bit, and one per pass
-in its order. A block's parities differ when it holds an odd number of
-wrong bits, one bytearray.count per bisection level. Every flip is
-audited: flipping a bit that is not wrong raises CascadeAuditError.
+by slot. A block's parities differ when it holds an odd number of wrong
+bits, one bytearray.count per bisection level. Every flip is audited:
+flipping a bit that is not wrong raises CascadeAuditError.
 
 A block is an interval of its pass's order named by its registration
 serial, a plain int; its start, length and oddness live in flat lists
 indexed by that serial, which give Python's cyclic garbage collector
 nothing to track. A pass registers its top-level blocks as it begins,
-their parities from one numpy reduction, and keeps the position of each
-bit wrong then, as no other bit can be flipped. A flip finds the blocks
-holding its bit from its position in each pass.
+their parities from one numpy bincount of the wrong bits' slots, and
+keeps the slot of each bit wrong then, as no other bit can be flipped. A
+flip finds the blocks holding its bit from its slot in each pass.
 
 Only blocks that can turn odd again are registered, which changes no
 output. A half without a wrong bit stays even, as flips only clear wrong
@@ -32,15 +38,17 @@ after they settle, with it even again. So a descent registers only the
 halves it passes by that still hold wrong bits: about 2,000 blocks per
 call, top-level ones included, on a qkd-cascade trial's 29,500 bits.
 
-Other shortcuts change no output either. Pass 0's odd blocks are disjoint
-and a flip in one touches no other, so they are bisected in one batch, in
-the heap's order but without it; a full-length one with a single wrong
-bit registers nothing and its descent ends at that bit, so those bits
-are cleared at once, each charged its depth from a table. Once the keys
-agree, no later pass is shuffled. Once a pass's single block spans the
-key and settles, every registered block is even, so each later pass
-would announce one parity and flip nothing: those passes are charged
-without being run.
+Other shortcuts change no output either. Pass 0's odd blocks are
+disjoint and a flip in one touches no other, so they are bisected in one
+batch, in the heap's order but without it; a full-length one with a
+single wrong bit registers nothing and its descent ends at that bit, so
+those bits are cleared at once, each charged its depth from a table.
+From pass 1 on, a popped block with a single wrong bit settles the same
+way: the bit is found with bytearray.index and charged from the same
+table, with no descent. Once the keys agree, no later pass is shuffled.
+Once a pass's single block spans the key and settles, every registered
+block is even, so each later pass would announce one parity and flip
+nothing: those passes are charged without being run.
 
 Disclosure accounting charges exactly one bit per parity Alice
 announces; inferred parities are free.
@@ -121,16 +129,19 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     wrong = bytearray(alice ^ bob_key.astype(np.uint8))
     errors = np.frombuffer(wrong, np.uint8)
 
-    disclosed, seq = 0, count()
+    # depths memoises _depths for the block lengths a descent is charged at.
+    disclosed, seq, depths = 0, count(), {1: [0]}
+    heappush, heappop = heapq.heappush, heapq.heappop
     # Heap entries are (length, seq, serial, pass_no); (length, seq) is unique.
     heap: list[tuple[int, int, int, int]] = []
     # By serial: a block's start and length in its pass's order, and whether
     # it holds an odd number of Bob's errors (1) or not (0). descend, which
     # registers blocks, unpacks these as locals, where += appends.
     fields = starts, lengths, is_odd = [], [], []
-    # Per pass: order, bit -> position for the bits wrong at its start, block
-    # size, the serials registered inside each top-level block that has any,
-    # Bob's errors in order, and the serial of its first top-level block.
+    # Per pass: position -> bit and bit -> position for the bits wrong at its
+    # start (range(n) for pass 0), block size, the serials registered inside
+    # each top-level block that has any, Bob's errors in order, and the serial
+    # of its first top-level block.
     passes: list[tuple] = []
 
     def flip(i: int) -> None:
@@ -143,11 +154,14 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             holders.append((base + p // size, k))  # the top-level block
             if into := tops.get(p // size):
                 holders += [(s, k) for s in into if 0 <= p - starts[s] < lengths[s]]
-        # Registration order, the order the heap's tie-breaks are pinned to.
-        for s, pass_no in sorted(holders):
-            is_odd[s] ^= 1
+        # Registration order, the order the heap's tie-breaks are pinned to;
+        # top-level serials alone already rise with the pass.
+        for s, pass_no in sorted(holders) if len(holders) > len(passes) else holders:
             if is_odd[s]:
-                heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
+                is_odd[s] = 0
+            else:
+                is_odd[s] = 1
+                heappush(heap, (lengths[s], next(seq), s, pass_no))
 
     def descend(s: int, pass_no: int) -> int:
         # Bisect the odd block s, registering the halves passed by that hold
@@ -177,7 +191,7 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             is_odd += [0] * len(serials)
         return start
 
-    k1, rng = initial_block_size(config.qber_hint, n), Rng(config.shuffle_seed)
+    k1 = initial_block_size(config.qber_hint, n)
     # After the first pass whose one block spans the key settles, every
     # registered block is even, so each later pass announces one parity and
     # flips nothing: those passes are charged here and not run.
@@ -185,23 +199,28 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
     disclosed += max(0, config.passes - spans - 1)
     for pass_no in range(min(config.passes, spans + 1)):
         size = min(n, k1 << pass_no)
-        disclosed += -(-n // size)
+        blocks = -(-n // size)
+        disclosed += blocks
         if 1 not in wrong:
             continue  # no flip can happen any more
+        # The slot in the pass's order of each bit wrong now, as no other bit
+        # can be flipped; pass 0's order is the key's.
         order = pos_of = range(n)
-        along, errs = errors, wrong
+        errs, slots = wrong, np.flatnonzero(errors.view(bool))
         if pass_no:
-            # Positions of the bits wrong now, as no other bit can be flipped.
-            order = rng.derive(pass_no + 1).np.permutation(n)
-            along = errors[order]
-            at = np.flatnonzero(along.view(bool))
-            pos_of = dict(zip(order[at].tolist(), at.tolist()))
-            errs = bytearray(along)
-        base, cuts, tops = len(starts), np.arange(0, n, size), {}
+            # Only those slots are drawn: a uniformly random injection, in
+            # ascending bit order, which is a full shuffle restricted to them.
+            draw = Rng(config.shuffle_seed ^ (pass_no + 1)).np
+            bits = slots.tolist()
+            slots = draw.choice(n, len(bits), replace=False)
+            np.frombuffer(errs := bytearray(n), np.uint8)[slots] = 1
+            order = dict(zip(slots.tolist(), bits))
+            pos_of = dict(zip(bits, order))  # order's keys are the slots drawn
+        base, tops = len(starts), {}
         passes.append((order, pos_of, size, tops, errs, base))
-        counts = np.add.reduceat(along, cuts, dtype=np.intp)
+        counts = np.bincount(slots // size, minlength=blocks)
         starts += range(0, n, size)
-        lengths += np.diff(cuts, append=n).tolist()
+        lengths += [size] * (blocks - 1) + [n - (blocks - 1) * size]
         is_odd += (counts & 1).tolist()
         if not pass_no:
             # Pass 0's odd top blocks are disjoint, so they settle one after
@@ -210,10 +229,9 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             # descent ends at that bit, so all of those settle at once.
             lone = counts == 1
             lone[n // size :] = False  # a short tail descends as usual
-            bits = np.flatnonzero(errors.view(bool))
-            bits = bits[lone[bits // size]]
+            bits = slots[lone[slots // size]]
             if bits.size:  # charge each bit's depth in a full block
-                disclosed += int(np.array(_depths(size, {1: [0]}))[bits % size].sum())
+                disclosed += int(np.array(_depths(size, depths))[bits % size].sum())
             errors[bits] = 0
             odd = np.flatnonzero(counts & ~lone & 1).tolist()
             for t in sorted(odd, key=lengths.__getitem__):
@@ -224,11 +242,20 @@ def cascade_reconcile(pair: "SiftedPair", config: CascadeConfig) -> CascadeResul
             is_odd[:] = [0] * len(is_odd)
             continue
         for s in (base + np.flatnonzero(counts & 1)).tolist():
-            heapq.heappush(heap, (lengths[s], next(seq), s, pass_no))
+            heappush(heap, (lengths[s], next(seq), s, pass_no))
         # Smallest odd block first; entries of blocks since repaired are stale.
         while heap:
-            _, _, s, p = heapq.heappop(heap)
-            if is_odd[s]:
-                flip(int(passes[p][0][descend(s, p)]))
+            length, _, s, p = heappop(heap)
+            if not is_odd[s]:
+                continue
+            order, _, _, _, errs, _ = passes[p]
+            start = starts[s]
+            if errs.count(1, start, start + length) == 1:
+                # Its descent would register nothing and end at the wrong bit.
+                at = errs.index(1, start, start + length)
+                disclosed += _depths(length, depths)[at - start]
+                flip(order[at])
+            else:
+                flip(order[descend(s, p)])
 
     return CascadeResult(alice ^ errors, disclosed, 1 not in wrong)

@@ -1365,7 +1365,7 @@ class TestGoldenReports:
         )
         text = render_csv(compare_strategies(scenario, Rng(41)))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "afe3b2027c38ab1841a79e944a94f18866ad084fcd35c8241f24f2c09071624c"
+            "dc908978805368a34b7806d7ab23a8842b0b18b8c7937079569041f190c4584d"
         )
 
     def test_retried_and_exhausted_trials_pinned(self):
