@@ -278,32 +278,28 @@ def _first_candidate(bits: int, rng: Rng, accept: Callable[[int], bool]) -> int:
 
     Candidates are decoded in blocks of 1, 2, 4, ... up to
     _CANDIDATE_BLOCK, so a key that needs few draws does not overdraw.
-    getrandbits(bits) reads ceil(bits/8) bytes of ceil(bits/32) 32-bit
-    draws, little-endian, as big-endian; a 32-bit draw is the buffered
-    half-word if any, else the low half of the next raw word, buffering
-    the high half. Each block is decoded from one raw draw, then the
-    stream is put back and redrawn through the candidates it took.
+    getrandbits(bits) is the first ceil(bits/8) bytes of a
+    Generator.bytes call of `stride` bytes (whole 32-bit draws), and one
+    bytes call draws the same 32-bit words as consecutive calls, a
+    buffered half-word first. So each block is read with one bytes call;
+    then the stream is put back and redrawn through the candidates it
+    took.
     """
     nbytes = (bits + 7) // 8
-    per = (nbytes + 3) // 4  # 32-bit draws per candidate
+    stride = 4 * ((nbytes + 3) // 4)
     shift, forced = 8 * nbytes - bits, 1 << (bits - 1) | 1
     bit_gen = rng.np.bit_generator
     count = 1
     while True:
         mark = bit_gen.state
-        words = bit_gen.random_raw((count * per + 1) // 2)
-        halves = words.astype("<u8", copy=False).view("<u4")
-        if mark["has_uint32"]:
-            halves = np.insert(halves, 0, mark["uinteger"])
-        data = halves[: count * per].view(np.uint8).reshape(count, 4 * per)
-        data = data[:, :nbytes].tobytes()
+        data = rng.np.bytes(stride * count)
         for j in range(count):
-            value = int.from_bytes(data[j * nbytes : (j + 1) * nbytes], "big")
+            value = int.from_bytes(data[j * stride : j * stride + nbytes], "big")
             candidate = value >> shift | forced
             if found := accept(candidate):
                 break
         bit_gen.state = mark
-        rng.np.bytes(4 * per * (j + 1))  # as j + 1 getrandbits(bits) calls
+        rng.np.bytes(stride * (j + 1))  # as j + 1 getrandbits(bits) calls
         if found:
             return candidate
         count = min(2 * count, _CANDIDATE_BLOCK)

@@ -23,6 +23,7 @@ import csv
 import hashlib
 import io
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -375,13 +376,9 @@ def _log2_remainder_chance(pulses: int, sample_frac: float) -> float:
     P(Bin(pulses, 1/2) >= L). Returns -1.0 when L <= (pulses + 1) / 2,
     where the chance is at least 1/2 by symmetry. The rule must hold at
     L = pulses."""
-    lo, hi = 2, pulses
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if math.ceil(sample_frac * mid) < mid:
-            hi = mid
-        else:
-            lo = mid + 1
+    lo = 2 + bisect_left(
+        range(2, pulses), True, key=lambda m: math.ceil(sample_frac * m) < m
+    )
     if 2 * lo <= pulses + 1:
         return -1.0
     # P(Bin = lo) times the sum of the later terms relative to it; their

@@ -13,7 +13,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 
-from .errors import TransportClosedError, TruncationError, WireError
+from .errors import TransportClosedError, WireError
 from .wire import Message, decode_msg, read_frame
 
 _RECV_TIMEOUT = 30.0
@@ -83,14 +83,16 @@ def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
 class TcpTransport(Transport):
     """One frame stream over a connected socket.
 
-    Frames are self-delimiting, so recv walks the frame structure and
-    reads exactly one. EOF between frames means the peer hung up
-    (TransportClosedError); EOF inside a frame is TruncationError.
+    Frames are self-delimiting, so recv walks the frame structure through
+    one buffered reader per connection and takes exactly one; read_frame
+    tells EOF between frames (TransportClosedError) from EOF inside one
+    (TruncationError).
     """
 
     def __init__(self, sock: socket.socket) -> None:
         sock.settimeout(_RECV_TIMEOUT)
         self._sock = sock
+        self._stream = sock.makefile("rb")
 
     def send(self, frame: bytes) -> None:
         try:
@@ -99,42 +101,25 @@ class TcpTransport(Transport):
             raise TransportClosedError(f"send failed: {exc}") from exc
 
     def recv(self) -> bytes:
-        got_any = False
-
-        def read(count: int) -> bytes:
-            nonlocal got_any
-            chunks = bytearray()
-            while len(chunks) < count:
-                try:
-                    piece = self._sock.recv(count - len(chunks))
-                except socket.timeout:
-                    raise TransportClosedError("no frame arrived in time") from None
-                except OSError as exc:
-                    raise TransportClosedError(f"recv failed: {exc}") from exc
-                if not piece:
-                    if got_any or chunks:
-                        raise TruncationError("stream ended mid-frame")
-                    raise TransportClosedError("peer closed the connection")
-                chunks += piece
-            got_any = got_any or count > 0
-            return bytes(chunks)
-
-        return read_frame(read)
+        try:
+            return read_frame(self._stream.read)
+        except TimeoutError:
+            raise TransportClosedError("no frame arrived in time") from None
+        except OSError as exc:
+            raise TransportClosedError(f"recv failed: {exc}") from exc
 
     def close(self) -> None:
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        # The socket keeps its descriptor while a reader is open on it.
+        self._stream.close()
         self._sock.close()
 
 
 def tcp_listen(host: str, port: int) -> socket.socket:
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(1)
-    return listener
+    return socket.create_server((host, port), backlog=1)
 
 
 def tcp_accept(listener: socket.socket) -> TcpTransport:

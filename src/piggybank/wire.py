@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable
 
-from .errors import CanonicalityError, FormatError, TruncationError
+from .errors import (
+    CanonicalityError,
+    FormatError,
+    TransportClosedError,
+    TruncationError,
+)
 
 MAGIC = b"PBNK"
 VERSION = 1
@@ -147,11 +152,14 @@ def decode_msg(data: bytes) -> Message:
 def read_frame(read: Callable[[int], bytes]) -> bytes:
     """Assemble one frame from a byte stream.
 
-    read(n) must return exactly n bytes or raise; this walks the header,
-    per-field lengths and the blob length so a stream transport can pull
-    self-delimiting frames without buffering the whole connection. A
-    frame whose declared lengths would take it past _MAX_FRAME bytes is
-    a FormatError, raised before the oversize read is made. Structural
+    read(n) returns n bytes, or fewer only where the stream ends, as a
+    binary file's read does. This walks the header, per-field lengths and
+    the blob length so a stream transport can pull self-delimiting frames
+    without buffering the whole connection. A stream that ends before the
+    frame's first byte is TransportClosedError (the peer hung up between
+    frames); one that ends inside the frame is TruncationError. A frame
+    whose declared lengths would take it past _MAX_FRAME bytes is a
+    FormatError, raised before the oversize read is made. Structural
     validation beyond the magic is left to decode_msg.
     """
     buf = bytearray()
@@ -161,6 +169,10 @@ def read_frame(read: Callable[[int], bytes]) -> bytes:
             raise FormatError(f"frame longer than {_MAX_FRAME} bytes")
         chunk = read(count)
         buf.extend(chunk)
+        if len(chunk) < count:
+            if not buf:
+                raise TransportClosedError("peer closed the connection")
+            raise TruncationError("stream ended mid-frame")
         return chunk
 
     if take(9)[:4] != MAGIC:

@@ -485,6 +485,36 @@ class TestTcpSmoke:
         assert listen_out == inproc_out
         assert connect_out.splitlines() == _as_peer(inproc_out.splitlines()[3:])
 
+    @pytest.mark.parametrize(
+        "base",
+        [
+            "exchange p2 --p 37 --g 2 --variant additive --seed 5",
+            "exchange p2 --p 37 --g 2 --variant multiplicative --seed 5",
+            "exchange p1 --n 51 --e 3 --d 11 --variant unit-r --seed 5",
+        ],
+    )
+    def test_seeded_exchange_matches_inproc(self, capsys, base):
+        base = base.split()
+        assert main(base + ["--mode", "inproc"]) == 0
+        inproc_out = capsys.readouterr().out
+
+        listen_out, connect_out = _listen_connect(base)
+        assert listen_out == inproc_out
+        lines = inproc_out.splitlines()
+        transcript = [line for line in lines if line.startswith(("tx ", "rx "))]
+        assert connect_out.splitlines() == _as_peer(transcript)
+
+    def test_listen_on_a_held_port_exits_3(self, capsys):
+        held = socket.create_server(("127.0.0.1", 0))
+        port = held.getsockname()[1]
+        try:
+            argv = EXAMPLE1[:-2] + ["--mode", "listen", "--port", str(port)]
+            assert main(argv) == 3
+        finally:
+            held.close()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(port) in err
+
 
 class TestQkd:
     SCENARIO = """\

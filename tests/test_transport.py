@@ -1,7 +1,10 @@
 """Transport behaviour: framing over memory queues, TCP sockets, taps."""
 
+import gc
 import socket
 import threading
+import time
+import warnings
 
 import pytest
 
@@ -12,6 +15,7 @@ from piggybank import (
     Protocol,
     TamperRule,
     TapLog,
+    TcpTransport,
     TransportClosedError,
     TruncationError,
     decode_msg,
@@ -21,6 +25,7 @@ from piggybank import (
     tcp_accept,
     tcp_connect,
     tcp_listen,
+    transport,
 )
 
 ACK = encode_msg(Message(Protocol.P1, Kind.ACK))
@@ -49,6 +54,12 @@ class TestMemoryPair:
         a.close()
         with pytest.raises(TransportClosedError):
             a.send(ACK)
+
+    def test_recv_times_out(self, monkeypatch):
+        monkeypatch.setattr(transport, "_RECV_TIMEOUT", 0.05)
+        _, b = memory_pair()
+        with pytest.raises(TransportClosedError, match="in time"):
+            b.recv()
 
 
 def _serve_bytes(payload, close_after=True):
@@ -136,6 +147,64 @@ class TestTcp:
         probe.close()
         with pytest.raises(TransportClosedError):
             tcp_connect("127.0.0.1", port, attempts=2, delay=0.01)
+
+    def test_failed_bind_leaks_no_socket(self):
+        held = tcp_listen("127.0.0.1", 0)
+        port = held.getsockname()[1]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(OSError):
+                    tcp_listen("127.0.0.1", port)
+                gc.collect()
+        finally:
+            held.close()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
+
+@pytest.fixture
+def socket_end():
+    """A TcpTransport over one end of a socket pair, the bare socket under
+    it, and the other end for the test to write."""
+    near, far = socket.socketpair()
+    end = TcpTransport(near)
+    yield end, near, far
+    end.close()
+    far.close()
+
+
+class TestTcpFraming:
+    def test_two_frames_in_one_write(self, socket_end):
+        end, _, far = socket_end
+        far.sendall(CHALLENGE + ACK)
+        assert end.recv() == CHALLENGE
+        assert end.recv() == ACK
+
+    def test_frame_written_a_byte_at_a_time(self, socket_end):
+        end, _, far = socket_end
+
+        def trickle():
+            for i in range(len(CHALLENGE)):
+                far.sendall(CHALLENGE[i : i + 1])
+                time.sleep(0.001)
+
+        writer = threading.Thread(target=trickle, daemon=True)
+        writer.start()
+        assert end.recv() == CHALLENGE
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+
+    def test_silent_peer_times_out(self, socket_end):
+        end, near, _ = socket_end
+        near.settimeout(0.05)
+        with pytest.raises(TransportClosedError, match="in time"):
+            end.recv()
+
+    def test_close_releases_the_socket(self, socket_end):
+        end, near, _ = socket_end
+        end.close()
+        assert near.fileno() == -1
 
 
 class TestTap:
