@@ -76,8 +76,10 @@ from .transport import (
 from .session import (
     AliceP1,
     AliceP2,
+    AliceTrope,
     BobP1,
     BobP2,
+    BobTrope,
     SessionOutcome,
     run_exchange,
     run_pair,

@@ -28,14 +28,13 @@ from .qkd import _SCENARIO_KEYS
 from .session import (
     AliceP1,
     AliceP2,
+    AliceTrope,
     BobP1,
     BobP2,
+    BobTrope,
     SessionOutcome,
     run_exchange,
     run_pair,
-    run_trope_alice,
-    run_trope_bob,
-    run_trope_session,
 )
 from .session import _require_manifest_fits
 from .transport import Transport, tcp_accept, tcp_connect, tcp_listen
@@ -188,11 +187,6 @@ def _print_outcome(outcome: SessionOutcome) -> None:
         print(line)
 
 
-def _require_port(args: argparse.Namespace) -> None:
-    if args.mode in ("listen", "connect") and args.port is None:
-        raise ValueError(f"--port is required for --mode {args.mode}")
-
-
 def _accept_one(args: argparse.Namespace) -> Transport:
     """Listen on --host/--port, take one connection, stop listening."""
     listener = tcp_listen(args.host, args.port)
@@ -218,10 +212,10 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     return int(ExitStatus.OK)
 
 
-def _exchange_keys(args: argparse.Namespace) -> DhParams | tuple:
-    """The exchange's keys, read and checked before any seed is drawn: DH
+def _session_keys(args: argparse.Namespace) -> DhParams | tuple:
+    """The session's keys, read and checked before any seed is drawn: DH
     parameters for p2, RSA parameters and Bob's secret (None for connect)
-    for p1."""
+    for p1 and trope."""
     if args.protocol == "p2":
         if args.p is None or args.g is None:
             raise ValueError("need --p and --g for p2")
@@ -249,111 +243,69 @@ def _check_forced(
         check_secrets1(keys[0].n, args.S, args.K)
 
 
-def _exchange_roles_p1(
+def _session_roles(
     args: argparse.Namespace,
-    variant: Variant1,
-    keys: tuple[RsaParams, RsaSecret | None],
+    variant: Variant1 | Variant2,
+    keys: DhParams | tuple,
     rng: Rng,
-):
-    params, secret = keys
-    bob = alice = None
-    if args.mode in ("inproc", "listen"):
-        bob = BobP1(params, secret, variant, nonce=args.R)
-    if args.mode in ("inproc", "connect"):
-        s = args.S if args.S is not None else rand_residue(params.n, False, rng)
-        k = args.K if args.K is not None else rng.randbelow(params.n)
-        alice = AliceP1(params, variant, AliceSecrets1(s, k))
-    return bob, alice
-
-
-def _exchange_roles_p2(
-    args: argparse.Namespace, variant: Variant2, params: DhParams, rng: Rng
-):
-    bob = alice = None
-    if args.mode in ("inproc", "listen"):
-        bob = BobP2(params, variant, nonce=args.R)
-    if args.mode in ("inproc", "connect"):
-        s = args.S if args.S is not None else 1 + rng.randbelow(params.p - 2)
-        if args.K is not None:
-            k = args.K
-        elif variant is Variant2.ADDITIVE:
-            k = rng.randbelow(params.p)
-        else:
-            k = 1 + rng.randbelow(params.p - 1)
-        alice = AliceP2(params, variant, AliceSecrets2(s, k))
-    return bob, alice
-
-
-def cmd_exchange(args: argparse.Namespace) -> int:
-    _require_port(args)
-    variants = _VARIANTS[args.protocol]
-    variant = variants.get(args.variant or next(iter(variants)))
-    if variant is None:
-        raise ValueError(f"unknown {args.protocol} variant {args.variant!r}")
-    keys = _exchange_keys(args)
-    _check_forced(args, variant, keys)
-    samples = (args.mode != "connect" and args.R is None) or (
-        args.mode != "listen" and (args.S is None or args.K is None)
-    )
-    base_rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
-    build = _exchange_roles_p1 if args.protocol == "p1" else _exchange_roles_p2
-    bob, alice = build(args, variant, keys, base_rng.derive(2))
-    if args.mode == "inproc":
-        bob_outcome, _ = run_pair(bob, alice, base_rng.derive(1))
-        _print_outcome(bob_outcome)
-    elif args.mode == "listen":
-        _print_outcome(run_exchange(bob, _accept_one(args), base_rng.derive(1)))
+) -> tuple:
+    """Bob's role (unused in connect mode) and Alice's (None in listen
+    mode); Alice draws her unforced S, then K, from rng."""
+    trope = args.protocol == "trope"
+    if isinstance(keys, DhParams):
+        bob = BobP2(keys, variant, nonce=args.R)
+    elif trope:
+        bob = BobTrope(*keys, args.R, args.hash_id)
     else:
-        transport = tcp_connect(args.host, args.port)
-        _print_outcome(run_exchange(alice, transport))
-    return int(ExitStatus.OK)
+        bob = BobP1(*keys, variant, nonce=args.R)
+    if args.mode == "listen":
+        return bob, None
+    if isinstance(keys, DhParams):
+        p, low = keys.p, 0 if variant is Variant2.ADDITIVE else 1
+        s = args.S if args.S is not None else 1 + rng.randbelow(p - 2)
+        k = args.K if args.K is not None else low + rng.randbelow(p - low)
+        return bob, AliceP2(keys, variant, AliceSecrets2(s, k))
+    params = keys[0]
+    s = args.S if args.S is not None else rand_residue(params.n, False, rng)
+    k = args.K if args.K is not None else rng.randbelow(params.n)
+    if trope:
+        return bob, AliceTrope(params, s, args.manifest, k, args.hash_id)
+    return bob, AliceP1(params, variant, AliceSecrets1(s, k))
 
 
-def cmd_trope(args: argparse.Namespace) -> int:
-    _require_port(args)
-    if args.mode != "listen":
-        _require_manifest_fits(args.manifest, args.hash_id)
-    params, secret = (
-        (_rsa_public(args), None) if args.mode == "connect" else _rsa_private(args)
-    )
-    if args.mode != "listen" and args.S is None:
+def cmd_session(args: argparse.Namespace) -> int:
+    """exchange and trope: check every input before a seed is drawn, then
+    run the ends this process owns; Bob draws from the seed's derive(1)
+    stream and Alice from its derive(2) stream, in process and over TCP."""
+    if args.mode != "inproc" and args.port is None:
+        raise ValueError(f"--port is required for --mode {args.mode}")
+    bob_end, alice_end = args.mode != "connect", args.mode != "listen"
+    trope = args.protocol == "trope"
+    if trope:
+        variant = Variant1.BASE
+        if alice_end:
+            _require_manifest_fits(args.manifest, args.hash_id)
+    else:
+        variants = _VARIANTS[args.protocol]
+        variant = variants.get(args.variant or next(iter(variants)))
+        if variant is None:
+            raise ValueError(f"unknown {args.protocol} variant {args.variant!r}")
+    keys = _session_keys(args)
+    if trope and alice_end and args.S is None:
         raise ValueError("--S is required for a trope session")
-    _check_forced(args, Variant1.BASE, (params, secret))
-    samples = (args.mode != "connect" and args.R is None) or (
-        args.mode != "listen" and args.K is None
+    _check_forced(args, variant, keys)
+    samples = (bob_end and args.R is None) or (
+        alice_end and (args.S is None or args.K is None)
     )
     rng = Rng(_resolve_seed(args.seed, needed=samples) or 0)
+    bob_rng, alice_rng = rng.derive(1), rng.derive(2)
+    bob, alice = _session_roles(args, variant, keys, alice_rng)
     if args.mode == "inproc":
-        outcome = run_trope_session(
-            params,
-            secret,
-            args.S,
-            args.manifest,
-            rng=rng,
-            hash_alg=args.hash_id,
-            nonce=args.R,
-            letter_key=args.K,
-        )
+        outcome = run_pair(bob, alice, bob_rng)[0]
     elif args.mode == "listen":
-        outcome = run_trope_bob(
-            params,
-            secret,
-            _accept_one(args),
-            rng=rng.derive(1),
-            nonce=args.R,
-            hash_alg=args.hash_id,
-        )
+        outcome = run_exchange(bob, _accept_one(args), bob_rng)
     else:
-        transport = tcp_connect(args.host, args.port)
-        outcome = run_trope_alice(
-            params,
-            args.S,
-            args.manifest,
-            transport,
-            rng=rng.derive(2),
-            letter_key=args.K,
-            hash_alg=args.hash_id,
-        )
+        outcome = run_exchange(alice, tcp_connect(args.host, args.port))
     _print_outcome(outcome)
     if outcome.manifest_ok is False:
         return int(ExitStatus.PROTOCOL)
@@ -428,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     exchange.add_argument("--S", type=int, help="force Alice's secret")
     exchange.add_argument("--K", type=int, help="force Alice's key value")
     add_net_flags(exchange)
-    exchange.set_defaults(handler=cmd_exchange)
+    exchange.set_defaults(handler=cmd_session)
 
     trope = sub.add_parser("trope", help="exchange plus a sealed contents manifest")
     add_rsa_flags(trope)
@@ -438,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     trope.add_argument("--manifest", default="", help="contents description text")
     trope.add_argument("--hash", dest="hash_id", default="sha256")
     add_net_flags(trope)
-    trope.set_defaults(handler=cmd_trope)
+    trope.set_defaults(handler=cmd_session, protocol="trope")
 
     qkd = sub.add_parser("qkd", help="compare cascade against digest-retry")
     qkd.add_argument("--scenario", help="key=value scenario file")

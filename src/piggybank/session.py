@@ -9,10 +9,12 @@ returns (recovered, manifest_ok). _drive runs one over any blocking
 Transport; _run_both steps both ends of an in-process session on the
 caller's thread. Each endpoint records its transcript via a tap.
 
-Trope is BASE plus one hook on each script. Alice's seal hook returns a
-fifth frame: a manifest naming the deposited goods and a digest binding
-them to the secret, encrypted with her key value as a stream-cipher key.
-Bob's unseal hook takes it after recovery and reports whether the digest
+Trope is BASE plus one hook on each script, run by its own two roles
+(BobTrope, AliceTrope), which run_pair and run_exchange drive as they
+drive the P1 and P2 roles. Alice's seal hook returns a fifth frame: a
+manifest naming the deposited goods and a digest binding them to the
+secret, encrypted with her key value as a stream-cipher key. Bob's
+unseal hook takes it after recovery and reports whether the digest
 checks out; a failed check is a verdict, not an abort.
 """
 
@@ -73,6 +75,23 @@ class AliceP2:
     params: DhParams
     variant: Variant2
     secrets: AliceSecrets2
+
+
+@dataclass(frozen=True)
+class BobTrope:
+    params: RsaParams
+    secret: RsaSecret
+    nonce: int | None = None
+    hash_alg: str = "sha256"
+
+
+@dataclass(frozen=True)
+class AliceTrope:
+    params: RsaParams
+    deposit_secret: int
+    manifest_text: str
+    letter_key: int | None = None  # sampled from rng when None
+    hash_alg: str = "sha256"
 
 
 @dataclass(frozen=True)
@@ -153,9 +172,14 @@ def _alice(protocol, variant, deposit, seal=None):
 
 
 def _script(role, rng):
-    """The script of one session role; rng feeds a box owner's nonce."""
+    """The script of one session role; rng feeds a box owner's nonce and
+    a trope depositor's letter key."""
     if isinstance(role, (BobP1, BobP2)):
         return (yield from _bob(role, rng))
+    if isinstance(role, BobTrope):
+        return (yield from _trope_bob(role, rng))
+    if isinstance(role, AliceTrope):
+        return (yield from _trope_alice(role, rng))
     if not isinstance(role, (AliceP1, AliceP2)):
         raise TypeError(f"not a session role: {role!r}")
     p1 = isinstance(role, AliceP1)
@@ -180,7 +204,7 @@ def _drive(script, transport: Transport) -> SessionOutcome:
 
 
 def run_exchange(
-    role: BobP1 | AliceP1 | BobP2 | AliceP2,
+    role: BobP1 | AliceP1 | BobP2 | AliceP2 | BobTrope | AliceTrope,
     transport: Transport,
     rng: Rng | None = None,
 ) -> SessionOutcome:
@@ -248,11 +272,12 @@ def _run_both(bob_script, alice_script, transports=None):
 
 
 def run_pair(
-    bob: BobP1 | BobP2,
-    alice: AliceP1 | AliceP2,
+    bob: BobP1 | BobP2 | BobTrope,
+    alice: AliceP1 | AliceP2 | AliceTrope,
     rng: Rng | None = None,
 ) -> tuple[SessionOutcome, SessionOutcome]:
-    """Run both endpoints over an in-memory pair; rng feeds Bob's nonce."""
+    """Run both endpoints over an in-memory pair; rng feeds Bob's nonce.
+    Alice gets no rng, so an AliceTrope must carry its letter_key."""
     return _run_both(_script(bob, rng), _script(alice, None))
 
 
@@ -305,31 +330,33 @@ def _require_manifest_fits(text: str, hash_alg: str) -> None:
         )
 
 
-def _trope_alice(params, deposit_secret, text, rng, letter_key, hash_alg):
+def _trope_alice(role: AliceTrope, rng):
     """The depositor's trope script: BASE plus the sealed manifest frame."""
-    _require_fixed_digest(hash_alg)
+    _require_fixed_digest(role.hash_alg)
+    letter_key = role.letter_key
 
     def deposit(challenge: int) -> Response1:
         nonlocal letter_key
         if letter_key is None:
             if rng is None:
                 raise ValueError("sampling a letter key requires an rng")
-            letter_key = rng.randbelow(params.n)
-        secrets = AliceSecrets1(deposit_secret, letter_key)
-        return p1_deposit(params, Variant1.BASE, challenge, secrets)
+            letter_key = rng.randbelow(role.params.n)
+        secrets = AliceSecrets1(role.deposit_secret, letter_key)
+        return p1_deposit(role.params, Variant1.BASE, challenge, secrets)
 
     def seal() -> bytes:
-        description = text.encode("utf-8")
-        digest = _manifest_digest(deposit_secret, description, hash_alg)
+        description = role.manifest_text.encode("utf-8")
+        digest = _manifest_digest(role.deposit_secret, description, role.hash_alg)
         plain = len(description).to_bytes(4, "big") + description + digest
-        sealed = _stream_xor(letter_key, plain, hash_alg)
+        sealed = _stream_xor(letter_key, plain, role.hash_alg)
         return encode_msg(Message(Protocol.TROPE, Kind.LETTER, (), sealed))
 
     return (yield from _alice(Protocol.TROPE, Variant1.BASE, deposit, seal))
 
 
-def _trope_bob(params, secret, rng, nonce, hash_alg):
+def _trope_bob(role: BobTrope, rng):
     """The box owner's trope script: BASE, then unseal and check the manifest."""
+    hash_alg = role.hash_alg
     _require_fixed_digest(hash_alg)
 
     def unseal(frame: bytes, recovered: Recovered1) -> bool:
@@ -346,8 +373,8 @@ def _trope_bob(params, secret, rng, nonce, hash_alg):
             _manifest_digest(recovered.secret, description, hash_alg) == digest
         )
 
-    role = BobP1(params, secret, Variant1.BASE, nonce)
-    return (yield from _bob(role, rng, Protocol.TROPE, unseal))
+    box = BobP1(role.params, role.secret, Variant1.BASE, role.nonce)
+    return (yield from _bob(box, rng, Protocol.TROPE, unseal))
 
 
 def run_trope_alice(
@@ -361,10 +388,8 @@ def run_trope_alice(
     hash_alg: str = "sha256",
 ) -> SessionOutcome:
     """Deposit a secret plus a sealed manifest naming what was deposited."""
-    script = _trope_alice(
-        params, deposit_secret, manifest_text, rng, letter_key, hash_alg
-    )
-    return _drive(script, transport)
+    role = AliceTrope(params, deposit_secret, manifest_text, letter_key, hash_alg)
+    return _drive(_script(role, rng), transport)
 
 
 def run_trope_bob(
@@ -377,7 +402,8 @@ def run_trope_bob(
     hash_alg: str = "sha256",
 ) -> SessionOutcome:
     """Open the box: recover S and K, unseal the manifest, check its digest."""
-    return _drive(_trope_bob(params, secret, rng, nonce, hash_alg), transport)
+    role = BobTrope(params, secret, nonce, hash_alg)
+    return _drive(_script(role, rng), transport)
 
 
 def run_trope_session(
@@ -399,9 +425,7 @@ def run_trope_session(
     The box owner draws from rng.derive(1) and the depositor from
     rng.derive(2).
     """
-    bob_rng, alice_rng = rng.derive(1), rng.derive(2)
-    alice = _trope_alice(
-        params, deposit_secret, manifest_text, alice_rng, letter_key, hash_alg
-    )
-    bob = _trope_bob(params, secret, bob_rng, nonce, hash_alg)
-    return _run_both(bob, alice, transports)[0]
+    bob = BobTrope(params, secret, nonce, hash_alg)
+    alice = AliceTrope(params, deposit_secret, manifest_text, letter_key, hash_alg)
+    scripts = _script(bob, rng.derive(1)), _script(alice, rng.derive(2))
+    return _run_both(*scripts, transports)[0]

@@ -8,10 +8,10 @@ tests model a wire adversary without touching endpoint code.
 
 from __future__ import annotations
 
-import queue
 import socket
 import time
 from dataclasses import dataclass, field
+from queue import Empty, SimpleQueue
 
 from .errors import TransportClosedError, WireError
 from .wire import Message, decode_msg, read_frame
@@ -44,7 +44,7 @@ _CLOSED = _Closed()
 
 
 class MemoryTransport(Transport):
-    def __init__(self, outgoing: queue.Queue, incoming: queue.Queue) -> None:
+    def __init__(self, outgoing: SimpleQueue, incoming: SimpleQueue) -> None:
         self._out = outgoing
         self._in = incoming
         self._closed = False
@@ -57,7 +57,7 @@ class MemoryTransport(Transport):
     def recv(self) -> bytes:
         try:
             item = self._in.get(timeout=_RECV_TIMEOUT)
-        except queue.Empty:
+        except Empty:
             raise TransportClosedError("no frame arrived in time") from None
         if item is _CLOSED:
             self._in.put(_CLOSED)
@@ -76,7 +76,7 @@ class MemoryTransport(Transport):
 def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
     """Two connected in-memory endpoints; recv waits for a frame or the
     peer's close, and ready tells whether one is already there."""
-    left, right = queue.Queue(), queue.Queue()
+    left, right = SimpleQueue(), SimpleQueue()
     return MemoryTransport(left, right), MemoryTransport(right, left)
 
 

@@ -516,6 +516,105 @@ class TestTcpSmoke:
         assert err.startswith("error:") and str(port) in err
 
 
+# Seeded runs pinned byte for byte: every value is drawn, so a change in
+# which stream draws what, or in what order, changes these lines.
+TROPE_GOLDEN = """\
+S=5
+K=34
+manifest_ok=true
+tx 50424e4b010301000200000000000000012c00000000
+rx 50424e4b0103020001000000013200000000
+rx 50424e4b0103030001000000011700000000
+rx 50424e4b0103030000000000{}
+tx 50424e4b010306000000000000
+"""
+SEEDED_GOLDENS = {
+    "exchange p1 --variant base --n 51 --e 3 --d 11 --seed 8": """\
+S=39
+K=11
+tx 50424e4b010101000200000000000000010f00000000
+rx 50424e4b0101020001000000012300000000
+rx 50424e4b0101030001000000010600000000
+tx 50424e4b010106000000000000
+""",
+    "exchange p1 --variant unit-r --n 51 --e 3 --d 11 --seed 8": """\
+S=39
+K=11
+tx 50424e4b01010100020000000101000000010100000000
+rx 50424e4b0101020001000000013200000000
+rx 50424e4b0101030001000000010600000000
+tx 50424e4b010106000000000000
+""",
+    "exchange p1 --variant multiplicative --n 51 --e 3 --d 11 --seed 8": """\
+S=39
+tx 50424e4b01010100020000000102000000012600000000
+rx 50424e4b0101020001000000010300000000
+rx 50424e4b0101030001000000010600000000
+tx 50424e4b010106000000000000
+""",
+    "exchange p1 --variant plain-r --n 51 --e 3 --d 11 --seed 8": """\
+S=39
+K=11
+tx 50424e4b01010100020000000103000000010900000000
+rx 50424e4b0101020001000000010e00000000
+rx 50424e4b0101030001000000010600000000
+tx 50424e4b010106000000000000
+""",
+    "exchange p1 --variant plain-r-keyed --n 51 --e 3 --d 11 --seed 8": """\
+S=39
+K=11
+tx 50424e4b01010100020000000104000000012f00000000
+rx 50424e4b0101020001000000010800000000
+rx 50424e4b0101030001000000010500000000
+tx 50424e4b010106000000000000
+""",
+    "exchange p2 --variant additive --p 37 --g 2 --seed 8": """\
+K=16
+shared=1
+tx 50424e4b010201000200000000000000011f00000000
+rx 50424e4b0102020001000000011100000000
+rx 50424e4b0102030001000000011a00000000
+tx 50424e4b010206000000000000
+""",
+    "exchange p2 --variant multiplicative --p 37 --g 2 --seed 8": """\
+K=17
+shared=1
+tx 50424e4b01020100020000000101000000011f00000000
+rx 50424e4b0102020001000000012200000000
+rx 50424e4b0102030001000000011a00000000
+tx 50424e4b010206000000000000
+""",
+    "trope --n 51 --e 3 --d 11 --S 5 --seed 5": TROPE_GOLDEN.format(
+        "24fd7bf8759aa0be4310588d6ec2d84519ab4e0bc14f4852c83290880daff195ee1247fac7"
+    ),
+    "trope --n 51 --e 3 --d 11 --S 5 --seed 5 --hash sha512": TROPE_GOLDEN.format(
+        "4499b658d8b74ec69f1c0df4c3d35190215b0e3b0f9e3ca15ba3abb0264f6a5dc6a29ab7"
+        "042fb01eb25c2ba7a4752583d97e565f3eef9b846a10835215e100791c6367f8f6"
+    ),
+}
+
+
+class TestSeededGoldens:
+    @pytest.mark.parametrize("argv", list(SEEDED_GOLDENS))
+    def test_seeded_stdout(self, capsys, argv):
+        assert main(argv.split()) == 0
+        captured = capsys.readouterr()
+        assert captured.out == SEEDED_GOLDENS[argv]
+        assert captured.err == ""
+
+
+def test_import_leaves_cli_unloaded():
+    # The CLI's modules cost import time that library users should not pay.
+    code = (
+        "import sys, piggybank; "
+        "print(sorted({'piggybank.cli', 'argparse', 'json'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
+
+
 class TestQkd:
     SCENARIO = """\
 pulses = 128

@@ -6,6 +6,7 @@ byte for byte.
 """
 
 import hashlib
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +18,10 @@ from piggybank import (
     AliceP2,
     AliceSecrets1,
     AliceSecrets2,
+    AliceTrope,
     BobP1,
     BobP2,
+    BobTrope,
     FormatError,
     HandshakeError,
     Kind,
@@ -29,6 +32,7 @@ from piggybank import (
     Recovered1,
     Rng,
     TamperRule,
+    TcpTransport,
     TransportClosedError,
     Variant1,
     Variant2,
@@ -581,3 +585,64 @@ class TestTropeHandshake:
                 )
             with pytest.raises(TransportClosedError):
                 bob_future.result(timeout=30)
+
+
+def _over_socketpair(bob_run, alice_run):
+    """bob_run(end) and alice_run(end), each on its own thread, over the
+    two TcpTransport ends of one socket pair."""
+    bob_sock, alice_sock = socket.socketpair()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        bob = pool.submit(bob_run, TcpTransport(bob_sock))
+        alice = pool.submit(alice_run, TcpTransport(alice_sock))
+        return bob.result(timeout=30), alice.result(timeout=30)
+
+
+class TestTropeRoles:
+    """The trope roles run on the generic runners as the trope wrappers do."""
+
+    def test_run_pair_matches_trope_session(self, desk_rsa):
+        params, secret = desk_rsa
+        bob, alice = run_pair(
+            BobTrope(params, secret),
+            AliceTrope(params, 5, "iron nails", 29),
+            Rng(7).derive(1),
+        )
+        want = run_trope_session(
+            params, secret, 5, "iron nails", rng=Rng(7), letter_key=29
+        )
+        assert (bob.recovered, bob.manifest_ok) == (want.recovered, True)
+        assert bob.transcript.transcript_lines() == want.transcript.transcript_lines()
+        assert (alice.recovered, alice.manifest_ok) == (None, None)
+        assert len(alice.transcript.entries) == 5
+
+    def test_run_exchange_matches_trope_ends_over_tcp(self, desk_rsa):
+        params, secret = desk_rsa
+        bob_role = BobTrope(params, secret, hash_alg="sha512")
+        alice_role = AliceTrope(params, 5, "iron nails", hash_alg="sha512")
+        got = _over_socketpair(
+            lambda end: run_exchange(bob_role, end, Rng(3).derive(1)),
+            lambda end: run_exchange(alice_role, end, Rng(3).derive(2)),
+        )
+        want = _over_socketpair(
+            lambda end: run_trope_bob(
+                params, secret, end, rng=Rng(3).derive(1), hash_alg="sha512"
+            ),
+            lambda end: run_trope_alice(
+                params, 5, "iron nails", end, rng=Rng(3).derive(2), hash_alg="sha512"
+            ),
+        )
+        assert got[0].manifest_ok is True
+        for got_side, want_side in zip(got, want):
+            assert got_side.recovered == want_side.recovered
+            assert got_side.manifest_ok == want_side.manifest_ok
+            assert (
+                got_side.transcript.transcript_lines()
+                == want_side.transcript.transcript_lines()
+            )
+
+    def test_run_pair_gives_alice_no_rng(self, desk_rsa):
+        params, secret = desk_rsa
+        with pytest.raises(ValueError, match="letter key requires an rng"):
+            run_pair(
+                BobTrope(params, secret), AliceTrope(params, 5, "iron nails"), Rng(7)
+            )
