@@ -9,10 +9,10 @@ that any run can be reproduced bit for bit.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
-from dataclasses import dataclass
-from functools import cache
-from math import gcd, prod
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, fields
+from functools import cache, lru_cache
+from math import gcd, log2, prod, sqrt
 
 import numpy as np
 
@@ -36,6 +36,11 @@ _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _SIEVE_BOUND = 16384
 # Key candidates decoded per block at most; blocks grow 1, 2, 4, ... to it.
 _CANDIDATE_BLOCK = 4096
+# Candidates the block sieve reduces at a time, which bounds its temporaries.
+_SIEVE_CHUNK = 256
+# Narrowest candidates the block sieve runs on: from 10 bits every candidate
+# exceeds 256, so none is itself one of the primes it divides by.
+_SIEVE_MIN_BITS = 10
 
 
 @cache
@@ -215,10 +220,13 @@ class RsaSecret:
     d: int
 
     def __post_init__(self):
+        self._check(retest=True)
+
+    def _check(self, retest: bool) -> None:
         if self.p == self.q:
             raise ValueError("prime factors must be distinct")
         for f in (self.p, self.q):
-            if f < 3 or not is_probable_prime(f, 16):
+            if f < 3 or retest and not is_probable_prime(f, 16):
                 raise ValueError("factors must be odd primes")
         if self.phi != (self.p - 1) * (self.q - 1):
             raise ValueError("phi is not (p-1)(q-1)")
@@ -234,10 +242,25 @@ class DhParams:
     g: int
 
     def __post_init__(self):
-        if self.p < 3 or not is_probable_prime(self.p, 16):
+        self._check(retest=True)
+
+    def _check(self, retest: bool) -> None:
+        if self.p < 3 or retest and not is_probable_prime(self.p, 16):
             raise ValueError("p must be prime")
         if not 2 <= self.g <= self.p - 1:
             raise ValueError("generator must lie in [2, p-1]")
+
+
+def _generated(cls, *values):
+    """cls(*values) for a key whose primes a generator has just tested
+    to the bound of _mr_rounds: the fields are checked as cls's
+    __post_init__ checks them, without its 16-round re-test. Keys from
+    files, flags and direct calls still take the re-test."""
+    key = object.__new__(cls)
+    for field, value in zip(fields(cls), values):
+        object.__setattr__(key, field.name, value)
+    key._check(retest=False)
+    return key
 
 
 def check_rsa_consistent(params: RsaParams, secret: RsaSecret) -> None:
@@ -272,7 +295,90 @@ def _small_factor_free(n: int, least: int) -> bool:
     return least < _SIEVE_BOUND or gcd(n, _wide_product()) == 1
 
 
-def _first_candidate(bits: int, rng: Rng, accept: Callable[[int], bool]) -> int:
+@lru_cache(maxsize=64)
+def _mr_rounds(bits: int) -> int:
+    """Miller-Rabin rounds for a generated prime of `bits` bits.
+
+    The least t whose average-case bound from Damgard, Landrock and
+    Pomerance (Math. Comp. 61, 1993) is at most 2**-80, else 40. Their
+    bound on the chance that a uniform odd k-bit integer which passes t
+    rounds is composite, proved for t = 2 at k >= 88 and for
+    3 <= t <= k/9, reads
+
+        p(k, t) < k**(3/2) * 2**t * t**(-1/2) * 4**(2 - sqrt(t*k)).
+
+    FIPS 186-4 Appendix C.3 sets its round counts from the same work.
+    The rule gives 6 rounds at 433-513 bits, 11 at 252-272 bits, and 40
+    below 171 bits, where no t in that range reaches 2**-80.
+    """
+    for t in range(2, 40):
+        if not (t == 2 and bits >= 88 or 3 <= t <= bits / 9):
+            continue
+        if 1.5 * log2(bits) + t - 0.5 * log2(t) + 4 - 2 * sqrt(t * bits) <= -80:
+            return t
+    return 40
+
+
+@lru_cache(maxsize=16)
+def _byte_weights(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, primes) for the block sieve of `bits`-bit candidates.
+
+    A candidate is its ceil(bits/8) big-endian bytes shifted right by
+    `shift` = 8*ceil(bits/8) - bits. With its forced top and low bits set
+    and the `shift` bits below them cleared, byte k (of nbytes) carries
+    2**(8*(nbytes-1-k) - shift) times its value, so the candidate is
+    congruent to weights @ bytes modulo each of `primes`, the odd primes
+    below 256. weights[i, k] = 256**(nbytes-1-k) / 2**shift mod primes[i].
+    """
+    nbytes = (bits + 7) // 8
+    shift = 8 * nbytes - bits
+    primes = _SMALL_PRIMES[1:]
+    powers = range(8 * (nbytes - 1) - shift, -shift - 1, -8)
+    weights = [[pow(2, power, r) for power in powers] for r in primes]
+    return np.array(weights, np.float64), np.array(primes)[:, None]
+
+
+def _prime_keep(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Candidates n with no odd prime factor below 256: those that
+    gcd(n, _SMALL_PRODUCT) == 1 keeps, n being odd."""
+    return (residues != 0).all(axis=0)
+
+
+def _safe_keep(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Candidates q with no odd prime factor below 256 in q or in 2q+1:
+    those that gcd(q * (2q+1), _SMALL_PRODUCT) == 1 keeps."""
+    return ((residues != 0) & (2 * residues + 1 != primes)).all(axis=0)
+
+
+def _sieved(
+    data: bytes, stride: int, bits: int, keep: Callable[..., np.ndarray]
+) -> Iterator[int]:
+    """Indices, in order, of the block's candidates that `keep` passes.
+
+    The block is `data`, one candidate per `stride` bytes. It is reduced
+    _SIEVE_CHUNK candidates at a time, and a chunk only once the
+    survivors of the one before it are used up. Each candidate's residues
+    come from one float64 product of bytes and weights, exact because
+    its sums stay below nbytes * 2**16, far under 2**53.
+    """
+    weights, primes = _byte_weights(bits)
+    nbytes = (bits + 7) // 8
+    shift = 8 * nbytes - bits
+    rows = np.frombuffer(data, np.uint8).reshape(-1, stride)
+    for start in range(0, len(rows), _SIEVE_CHUNK):
+        chunk = rows[start : start + _SIEVE_CHUNK, :nbytes].copy()
+        chunk[:, 0] |= 0x80
+        chunk[:, -1] = chunk[:, -1] >> shift << shift | 1 << shift
+        residues = (weights @ chunk.T).astype(np.int64) % primes
+        yield from (start + np.flatnonzero(keep(residues, primes))).tolist()
+
+
+def _first_candidate(
+    bits: int,
+    rng: Rng,
+    accept: Callable[[int], bool],
+    keep: Callable[..., np.ndarray] | None = None,
+) -> int:
     """The first `rng.getrandbits(bits) | 2**(bits-1) | 1` that accept()
     passes; the stream is left just after its draw.
 
@@ -284,38 +390,56 @@ def _first_candidate(bits: int, rng: Rng, accept: Callable[[int], bool]) -> int:
     buffered half-word first. So each block is read with one bytes call;
     then the stream is put back and redrawn through the candidates it
     took.
+
+    With `keep` (_prime_keep or _safe_keep) and at least _SIEVE_MIN_BITS
+    bits, each block is sieved first and accept() sees only the
+    candidates that `keep` passes. accept() must refuse every other one,
+    so that the result and the stream stay as without the sieve.
     """
     nbytes = (bits + 7) // 8
     stride = 4 * ((nbytes + 3) // 4)
     shift, forced = 8 * nbytes - bits, 1 << (bits - 1) | 1
+    sieve = keep is not None and bits >= _SIEVE_MIN_BITS
     bit_gen = rng.np.bit_generator
     count = 1
     while True:
         mark = bit_gen.state
         data = rng.np.bytes(stride * count)
-        for j in range(count):
+        found, taken = 0, count
+        for j in _sieved(data, stride, bits, keep) if sieve else range(count):
             value = int.from_bytes(data[j * stride : j * stride + nbytes], "big")
             candidate = value >> shift | forced
-            if found := accept(candidate):
+            if accept(candidate):
+                found, taken = candidate, j + 1
                 break
         bit_gen.state = mark
-        rng.np.bytes(stride * (j + 1))  # as j + 1 getrandbits(bits) calls
+        rng.np.bytes(stride * taken)  # as `taken` getrandbits(bits) calls
         if found:
-            return candidate
+            return found
         count = min(2 * count, _CANDIDATE_BLOCK)
 
 
 def _random_prime(bits: int, e: int, rng: Rng) -> int:
-    # Top bit forced so a product of two such primes lands at full width.
-    # A prime with gcd(e, p-1) > 1 can never be in a key for e, so it is
-    # refused before the sieve and the 40-round test; the three checks
-    # are pure, so their order leaves the output unchanged.
+    """The first candidate of `bits` bits that is a prime p with
+    gcd(e, p - 1) = 1, tested at _mr_rounds(bits) rounds.
+
+    Top bit forced so a product of two such primes lands at full width.
+    A prime with gcd(e, p-1) > 1 can never be in a key for e, so it is
+    refused before the sieve and the Miller-Rabin test; the checks are
+    pure, so their order leaves the output unchanged. The block sieve
+    and the gcd stages refuse only composites. The candidates are the
+    uniform odd `bits`-bit integers that _mr_rounds's bound covers; the
+    gcd(e, p-1) = 1 filter keeps a share s of the primes (1/2 for e = 3),
+    which can raise that bound by at most a factor 1/s.
+    """
+    rounds = _mr_rounds(bits)
     return _first_candidate(
         bits,
         rng,
         lambda n: gcd(e, n - 1) == 1
         and _small_factor_free(n, n)
-        and is_probable_prime(n, 40),
+        and is_probable_prime(n, rounds),
+        _prime_keep,
     )
 
 
@@ -351,7 +475,8 @@ def gen_rsa(bits: int, e: int, rng: Rng) -> tuple[RsaParams, RsaSecret]:
         if p == q or (p * q).bit_length() != bits:
             continue
         phi = (p - 1) * (q - 1)
-        return RsaParams(p * q, e), RsaSecret(p, q, phi, mod_inv(e, phi))
+        secret = _generated(RsaSecret, p, q, phi, mod_inv(e, phi))
+        return RsaParams(p * q, e), secret
 
 
 def gen_dh(bits: int, rng: Rng) -> DhParams:
@@ -360,11 +485,16 @@ def gen_dh(bits: int, rng: Rng) -> DhParams:
     Any unit's order divides 2q, so ruling out orders 1, 2 and q by two
     exponentiations proves g generates the whole group. q's candidates
     are drawn as _random_prime's. A joint sieve and a base-2 Fermat test
-    on q and 2q+1 skip only pairs that the 40-round tests would reject,
-    so they leave the output for every rng unchanged.
+    on q and 2q+1 skip only pairs that the Miller-Rabin tests would
+    reject, so they leave the output for every rng unchanged. q and p
+    each take _mr_rounds rounds for their own width: 11 each at 256 bits,
+    40 below 171. Neither is a uniform draw of its width, each being
+    screened with the other, so there the per-width count is the rule
+    and the average-case bound its motivation, not a proof.
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
+    q_rounds, p_rounds = _mr_rounds(bits - 1), _mr_rounds(bits)
 
     def safe(q: int) -> bool:
         p = 2 * q + 1
@@ -372,16 +502,16 @@ def gen_dh(bits: int, rng: Rng) -> DhParams:
             _small_factor_free(q * p, q)
             and pow(2, q - 1, q) == 1
             and pow(2, p - 1, p) == 1
-            and is_probable_prime(q, 40)
-            and is_probable_prime(p, 40)
+            and is_probable_prime(q, q_rounds)
+            and is_probable_prime(p, p_rounds)
         )
 
-    q = _first_candidate(bits - 1, rng, safe)
+    q = _first_candidate(bits - 1, rng, safe, _safe_keep)
     p = 2 * q + 1
     while True:
         g = 2 + rng.randbelow(p - 3)
         if mod_exp(g, 2, p) != 1 and mod_exp(g, q, p) != 1:
-            return DhParams(p, g)
+            return _generated(DhParams, p, g)
 
 
 def rand_residue(n: int, require_unit: bool, rng: Rng) -> int:

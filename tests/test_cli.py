@@ -335,6 +335,28 @@ class TestKeyFiles:
         assert capsys.readouterr().out.startswith("S=5\nK=29\n")
 
 
+class TestUntrustedPrimes:
+    """Primes from key files and flags are re-tested; generated keys skip
+    that test, so these must still be refused."""
+
+    # strong pseudoprimes; the second has no prime factor below 256
+    @pytest.mark.parametrize("p", [3215031751, 3825123056546413051])
+    def test_composite_factor_in_key_file_exits_2(self, capsys, tmp_path, p):
+        q = 1000003
+        phi = (p - 1) * (q - 1)
+        e = next(e for e in range(3, 99, 2) if math.gcd(e, phi) == 1)
+        secret = {"n": p * q, "e": e, "p": p, "q": q, "phi": phi}
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({**secret, "d": pow(e, -1, phi)}))
+        assert main(f"exchange p1 --secret-file {path} --seed 3".split()) == 2
+        assert "factors must be odd primes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [3215031751, 3825123056546413051])
+    def test_composite_group_flag_exits_2(self, capsys, p):
+        assert main(f"exchange p2 --p {p} --g 2 --seed 3".split()) == 2
+        assert "p must be prime" in capsys.readouterr().err
+
+
 class TestForcedValues:
     @pytest.mark.parametrize(
         "argv, message",

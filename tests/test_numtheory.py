@@ -7,6 +7,7 @@ fast implementation.
 
 import hashlib
 import math
+import os
 import random
 
 import pytest
@@ -53,6 +54,9 @@ def sieve(limit: int) -> set[int]:
     return {i for i, f in enumerate(flags) if f}
 
 
+ODD_SMALL_PRODUCT = math.prod(sieve(255) - {2})
+
+
 def plain_gen_rsa(bits: int, e: int, rng: Rng) -> tuple[int, int]:
     """(n, d) from one getrandbits draw per prime candidate, no sieve."""
 
@@ -66,6 +70,24 @@ def plain_gen_rsa(bits: int, e: int, rng: Rng) -> tuple[int, int]:
         p, q = prime((bits + 1) // 2), prime(bits // 2)
         if p != q and (p * q).bit_length() == bits:
             return p * q, pow(e, -1, (p - 1) * (q - 1))
+
+
+def plain_gen_dh(bits: int, rng: Rng) -> tuple[int, int]:
+    """(p, g) from one getrandbits draw per candidate q, no block sieve and
+    40 rounds for q and 2q+1. The gcd with the odd primes below 256 only
+    refuses pairs with a composite, as q >= 2**8 here."""
+    assert bits >= 10
+    while True:
+        q = rng.getrandbits(bits - 1) | 1 << (bits - 2) | 1
+        if math.gcd(q * (2 * q + 1), ODD_SMALL_PRODUCT) != 1:
+            continue
+        if is_probable_prime(q, 40) and is_probable_prime(2 * q + 1, 40):
+            break
+    p = 2 * q + 1
+    while True:
+        g = 2 + rng.randbelow(p - 3)
+        if pow(g, 2, p) != 1 and pow(g, q, p) != 1:
+            return p, g
 
 
 # chi-square critical values, alpha = 0.001 (frozen so scipy is not a
@@ -623,3 +645,176 @@ class TestRandResidue:
         assert [rand_residue(51, True, a) for _ in range(5)] == [
             rand_residue(51, True, b) for _ in range(5)
         ]
+
+
+# Seeds per key case. The 512-bit RSA keys take KEYGEN_IDENTITY_SEEDS
+# (default 50); gen_dh(256) and gen_rsa(1024, 3), whose 40-round references
+# take 5-8 times as long per seed, take a tenth of it. CI runs 500.
+IDENTITY_SEEDS = int(os.environ.get("KEYGEN_IDENTITY_SEEDS", "50"))
+
+
+class TestAgainstFortyRounds:
+    """Generated keys, and the stream after them, are those of the plain
+    one-draw-per-candidate loops that test every prime at 40 rounds; the
+    widths are ones where _mr_rounds takes fewer."""
+
+    @pytest.mark.parametrize(
+        "bits, e, seeds",
+        [
+            (512, 3, IDENTITY_SEEDS),
+            (512, 65537, IDENTITY_SEEDS),
+            (1024, 3, IDENTITY_SEEDS // 10),
+        ],
+    )
+    def test_gen_rsa(self, bits, e, seeds):
+        assert numtheory._mr_rounds(bits // 2) < 40
+        for seed in range(seeds):
+            fast, plain = Rng(seed), Rng(seed)
+            params, secret = gen_rsa(bits, e, fast)
+            assert (params.n, secret.d) == plain_gen_rsa(bits, e, plain), seed
+            assert fast.np.bytes(8) == plain.np.bytes(8), seed
+
+    def test_gen_dh(self):
+        assert numtheory._mr_rounds(255) == numtheory._mr_rounds(256) == 11
+        for seed in range(IDENTITY_SEEDS // 10):
+            fast, plain = Rng(seed), Rng(seed)
+            dh = gen_dh(256, fast)
+            assert (dh.p, dh.g) == plain_gen_dh(256, plain), seed
+            assert fast.np.bytes(8) == plain.np.bytes(8), seed
+
+
+def _dlp_log2_bound(k: int, t: int) -> float | None:
+    """log2 of Damgard-Landrock-Pomerance's bound on the chance that a
+    uniform odd k-bit integer passing t Miller-Rabin rounds is composite,
+    k**1.5 * 2**t * t**-0.5 * 4**(2 - sqrt(t*k)); None where unproved."""
+    if not (t == 2 and k >= 88 or 3 <= t <= k / 9 and k >= 21):
+        return None
+    return math.log2(k**1.5 * 2**t / math.sqrt(t)) + 2 * (2 - math.sqrt(t * k))
+
+
+class TestRoundRule:
+    def test_least_rounds_with_a_stated_2_to_the_minus_80_bound(self):
+        for k in range(16, 2049):
+            t = numtheory._mr_rounds(k)
+            bounds = [_dlp_log2_bound(k, s) for s in range(2, 40)]
+            proved = [
+                s for s, b in zip(range(2, 40), bounds) if b is not None and b <= -80
+            ]
+            assert t == (proved[0] if proved else 40), k
+
+    def test_rounds_at_the_benchmark_widths(self):
+        widths = (64, 127, 128, 255, 256, 511, 512)
+        assert [numtheory._mr_rounds(k) for k in widths] == [40, 40, 40, 11, 11, 6, 6]
+
+
+class TestReTest:
+    """Keys that no generator proved keep the 16-round re-test."""
+
+    def test_constructors_refuse_composites(self):
+        # 151 * 751 * 28351, and 149491 * 747451 * 34233211, which has no
+        # factor below 256: strong pseudoprimes to the prime bases up to 7
+        # and up to 23
+        q = 1000003
+        for n in (3215031751, 3825123056546413051):
+            with pytest.raises(ValueError, match="odd primes"):
+                RsaSecret(n, q, (n - 1) * (q - 1), 5)
+            with pytest.raises(ValueError, match="must be prime"):
+                DhParams(n, 2)
+        with pytest.raises(ValueError, match="odd primes"):
+            RsaSecret(4, 17, 48, 11)
+
+    def test_generated_keys_skip_the_re_test(self, monkeypatch):
+        calls = []
+
+        def recording(n, rounds=40):
+            calls.append(rounds)
+            return is_probable_prime(n, rounds)
+
+        monkeypatch.setattr(numtheory, "is_probable_prime", recording)
+        params, secret = gen_rsa(512, 3, Rng(1))
+        dh = gen_dh(256, Rng(1))
+        assert set(calls) == {11}  # 256-bit primes, 255-bit q
+        # the same keys built by their constructors take the re-test
+        calls.clear()
+        assert secret == RsaSecret(secret.p, secret.q, secret.phi, secret.d)
+        assert dh == DhParams(dh.p, dh.g)
+        assert calls == [16, 16, 16]
+
+
+class TestBlockSieve:
+    # Every shift 0-7 (widths 10-25), a spread up to 600 bits, and blocks
+    # of 1 candidate, of one chunk and either side of chunk boundaries.
+    WIDTHS = sorted({*range(10, 26), *range(26, 601, 29), 255, 256, 511, 512, 600})
+    COUNTS = (1, 2, 255, 256, 257, 600)
+
+    @staticmethod
+    def candidates(data, stride, bits):
+        nbytes = (bits + 7) // 8
+        shift, forced = 8 * nbytes - bits, 1 << (bits - 1) | 1
+        for j in range(len(data) // stride):
+            value = int.from_bytes(data[j * stride : j * stride + nbytes], "big")
+            yield value >> shift | forced
+
+    @pytest.mark.parametrize("safe", [False, True])
+    def test_survivors_are_the_exact_checks(self, safe):
+        keep = numtheory._safe_keep if safe else numtheory._prime_keep
+        rnd = random.Random(31 + safe)
+        for bits in self.WIDTHS:
+            stride = 4 * ((bits + 31) // 32)
+            for count in self.COUNTS:
+                data = rnd.randbytes(stride * count)
+                exact = [
+                    j
+                    for j, n in enumerate(self.candidates(data, stride, bits))
+                    if math.gcd(n * (2 * n + 1) if safe else n, ODD_SMALL_PRODUCT) == 1
+                ]
+                got = list(numtheory._sieved(data, stride, bits, keep))
+                assert got == exact, (bits, count)
+
+    @pytest.mark.parametrize("bits", [*range(2, 16), 64, 255])
+    def test_accept_sees_survivors_only_from_10_bits(self, bits):
+        # accept takes the 40th candidate it sees; below 10 bits the sieve
+        # is never called and accept sees every draw, small primes included
+        def unsieved(residues, primes):
+            raise AssertionError(f"sieved at {bits} bits")
+
+        loop = Rng(bits)
+        draws = iter(lambda: loop.getrandbits(bits) | 1 << (bits - 1) | 1, None)
+        if bits < 10:
+            keep, kept = unsieved, draws
+        else:
+            keep = numtheory._prime_keep
+            kept = (n for n in draws if math.gcd(n, ODD_SMALL_PRODUCT) == 1)
+        expected = [next(kept) for _ in range(40)]
+        rng, seen = Rng(bits), []
+
+        def accept(n):
+            seen.append(n)
+            return len(seen) == 40
+
+        assert numtheory._first_candidate(bits, rng, accept, keep) == expected[-1]
+        assert seen == expected
+        assert rng.np.bytes(8) == loop.np.bytes(8)
+
+
+def test_numpy_streams_pinned():
+    """Raw draws under PCG64 of Generator.bytes, which key candidates and
+    Rng.getrandbits read, and of Generator.choice(n, m, replace=False),
+    which estimate_qber and Cascade's slots read, in both of its branches
+    (a hash set for few draws, a partial shuffle past n/50 when n > 10^4).
+    numpy does not promise these streams across versions; a change fails
+    here before it fails the goldens built on them."""
+    assert Rng(1).np.bytes(12).hex() == "ffe42279f3bd068366a852c1"
+    buffered = Rng(2)
+    buffered.getrandbits(5)
+    assert buffered.np.bytes(9).hex() == "4803f9426471fb1b63"
+    choice = [
+        Rng(3).np.choice(500, 8, replace=False),
+        Rng(4).np.choice(29506, 415, replace=False)[:8],
+        Rng(5).np.choice(29506, 880, replace=False)[:8],
+    ]
+    assert [c.tolist() for c in choice] == [
+        [117, 433, 399, 90, 88, 42, 291, 400],
+        [224, 938, 21756, 16165, 8854, 3640, 9902, 18491],
+        [4348, 15761, 13106, 429, 6290, 9939, 308, 17290],
+    ]
